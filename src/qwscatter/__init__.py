@@ -39,7 +39,7 @@ from .konno import (
     konno_density,
     velocity_grid,
 )
-from .lattice import Evolution, LatticeState, apply_coin, apply_shift, evolve, fourier_at
+from .lattice import Evolution, LatticeState, evolve, fourier_at
 from .momentum import (
     FreeModel,
     SpectrumArcs,
@@ -90,8 +90,6 @@ __all__ = [
     "ConvergenceError",
     "LatticeState",
     "Evolution",
-    "apply_coin",
-    "apply_shift",
     "evolve",
     "fourier_at",
     "FreeModel",

@@ -53,7 +53,7 @@ def _check_unitary(m: np.ndarray, where: str) -> np.ndarray:
     if m.shape != (2, 2):
         raise DomainError(f"{where}: expected a 2x2 matrix, got shape {m.shape}")
     err = np.abs(m.conj().T @ m - np.eye(2)).max()
-    if err > UNITARITY_ATOL:
+    if not err <= UNITARITY_ATOL:  # NaN entries fail every comparison
         raise DomainError(f"{where}: matrix is not unitary (deviation {err:.3e})")
     return m
 
@@ -91,8 +91,8 @@ class CoinMatrix:
 
     def __post_init__(self) -> None:
         a, b = float(self.a), float(self.b)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise DomainError("coin moduli must be finite")
+        if not all(map(math.isfinite, (a, b, self.alpha, self.beta, self.delta))):
+            raise DomainError("coin parameters must be finite")
         if a < -1e-12 or b < -1e-12 or abs(a * a + b * b - 1.0) > 1e-10:
             raise DomainError(
                 f"coin moduli must satisfy a,b >= 0 and a^2+b^2 = 1, got a={a}, b={b}"
@@ -115,21 +115,16 @@ class CoinMatrix:
         object.__setattr__(self, "delta", delta)
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, *, atol: float = UNITARITY_ATOL) -> "CoinMatrix":
+    def from_matrix(cls, m: np.ndarray) -> "CoinMatrix":
         """Recover the canonical parameters of a unitary matrix.
 
         Raises
         ------
         DomainError
-            If ``m`` is not 2x2 unitary within ``atol``, or does not
-            round-trip through the parameterization at that tolerance.
+            If ``m`` is not 2x2 unitary within ``UNITARITY_ATOL``, or does
+            not round-trip through the parameterization at that tolerance.
         """
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
-        err = np.abs(m.conj().T @ m - np.eye(2)).max()
-        if err > atol:
-            raise DomainError(f"matrix is not unitary (deviation {err:.3e})")
+        m = _check_unitary(m, "coin matrix")
         delta = cmath.phase(np.linalg.det(m))
         a = abs(m[0, 0])
         b = abs(m[0, 1])
@@ -137,7 +132,7 @@ class CoinMatrix:
         beta = cmath.phase(m[0, 1]) if b >= _PIN_TOL else 0.0
         coin = cls(a, b, alpha, beta, delta)
         res = np.abs(coin.matrix() - m).max()
-        if res > 10.0 * atol:
+        if res > 10.0 * UNITARITY_ATOL:
             raise DomainError(f"matrix does not fit the canonical form (residual {res:.3e})")
         return coin
 

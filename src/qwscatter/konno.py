@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError
 from .lattice import LatticeState, fourier_at
-from .momentum import FreeModel
+from .momentum import FreeModel, to_branches
 
 __all__ = [
     "konno_density",
@@ -205,8 +205,7 @@ def apply_K(state: LatticeState, model: FreeModel, branch: int, m: int, grid: Ve
     k = k_map(model, branch, m, grid.v)
     hat = fourier_at(state, k)
     _, vec = model.eigensystem(k)
-    u = vec[:, branch, :]
-    return u[:, 0].conj() * hat[:, 0] + u[:, 1].conj() * hat[:, 1]
+    return to_branches(vec, hat)[:, branch]
 
 
 def apply_K_adjoint(

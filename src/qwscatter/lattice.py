@@ -23,16 +23,15 @@ from .coin import CoinField
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
-    "DEFAULT_MAX_WINDOW",
+    "MAX_WINDOW",
     "LatticeState",
     "Evolution",
     "evolve",
-    "apply_coin",
-    "apply_shift",
     "fourier_at",
 ]
 
-DEFAULT_MAX_WINDOW = 1 << 20
+# Largest window, in sites, that any evolution or Fourier grid may allocate.
+MAX_WINDOW = 1 << 20
 
 _FOURIER_CHUNK = 4096
 
@@ -59,6 +58,8 @@ class LatticeState:
         amp = np.asarray(self.amp, dtype=complex)
         if amp.ndim != 2 or amp.shape[1] != 2 or amp.shape[0] < 1:
             raise DomainError(f"amplitude block must have shape (n, 2), got {amp.shape}")
+        if not np.isfinite(amp).all():
+            raise DomainError("amplitudes must be finite")
         self.offset = int(self.offset)
         self.amp = amp
 
@@ -223,27 +224,6 @@ def fourier_at(state: LatticeState, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_coin(state: LatticeState, field: CoinField, adjoint: bool = False) -> LatticeState:
-    """Sitewise coin action C (or C^dagger)."""
-    coins = field.block(state.lo, state.hi)
-    if adjoint:
-        coins = coins.conj().transpose(0, 2, 1)
-    return LatticeState(state.offset, np.einsum("xab,xb->xa", coins, state.amp))
-
-
-def apply_shift(state: LatticeState, inverse: bool = False) -> LatticeState:
-    """Shift S (component 0 down, component 1 up); window grows by one site."""
-    n = state.amp.shape[0]
-    out = np.zeros((n + 2, 2), dtype=complex)
-    if not inverse:
-        out[0:n, 0] = state.amp[:, 0]
-        out[2 : n + 2, 1] = state.amp[:, 1]
-    else:
-        out[2 : n + 2, 0] = state.amp[:, 0]
-        out[0:n, 1] = state.amp[:, 1]
-    return LatticeState(state.offset - 1, out)
-
-
 class Evolution:
     """Stepper applying U = S C (or U^{-1} = C^dagger S^dagger) in place.
 
@@ -259,15 +239,14 @@ class Evolution:
         max_steps: int,
         *,
         inverse: bool = False,
-        max_window: int = DEFAULT_MAX_WINDOW,
     ) -> None:
         if max_steps < 0:
             raise DomainError("max_steps must be >= 0")
         lo = state.lo - max_steps
         hi = state.hi + max_steps
-        if hi - lo > max_window:
+        if hi - lo > MAX_WINDOW:
             raise ResourceLimitError(
-                f"evolution window of {hi - lo} sites exceeds the cap of {max_window}"
+                f"evolution window of {hi - lo} sites exceeds the cap of {MAX_WINDOW}"
             )
         self.origin = lo
         self.inverse = inverse
@@ -333,11 +312,10 @@ def evolve(
     steps: int,
     *,
     inverse: bool = False,
-    max_window: int = DEFAULT_MAX_WINDOW,
 ) -> LatticeState:
     """Apply U^steps (U^{-steps} with ``inverse=True``); negative steps flip direction."""
     if steps < 0:
         steps, inverse = -steps, not inverse
-    ev = Evolution(state, field, steps, inverse=inverse, max_window=max_window)
+    ev = Evolution(state, field, steps, inverse=inverse)
     ev.step(steps)
     return ev.state

@@ -14,6 +14,12 @@ s_j = 1 - 2j, and the group velocity of branch j is
 bounded by |v_j| <= a.  Branch 0 carries eigenvector (1, 0) and velocity
 -1 in the diagonal limit a = 1; for a = 0 both velocities vanish and the
 spectrum degenerates to two infinitely degenerate eigenvalues.
+
+Every function of the free walk, U_0^n, the velocity projection chi(V),
+the outgoing-state average and the translators K, multiplies branch
+amplitudes by a factor per momentum.  ``to_branches`` takes a spinor
+transform to the amplitudes <u_j(k), hat(psi)(k)>, ``from_branches``
+takes them back; that pair is the one branch-decomposition kernel.
 """
 
 from __future__ import annotations
@@ -26,12 +32,14 @@ import numpy as np
 
 from .coin import CoinMatrix, wrap_angle
 from .errors import DomainError, ResourceLimitError
-from .lattice import DEFAULT_MAX_WINDOW, LatticeState
+from .lattice import MAX_WINDOW, LatticeState
 
 __all__ = [
     "FreeModel",
     "SpectrumArcs",
     "spectrum_arcs",
+    "to_branches",
+    "from_branches",
     "velocity_projection",
     "branch_packet",
 ]
@@ -186,6 +194,41 @@ def _next_pow2(n: int) -> int:
     return 1 << max(int(n) - 1, 1).bit_length()
 
 
+def to_branches(vec: np.ndarray, hat: np.ndarray) -> np.ndarray:
+    """Branch amplitudes <u_j(k), hat(psi)(k)>, shape (W, 2), branch last.
+
+    ``vec`` is the (W, 2, 2) eigenvector array of
+    :meth:`FreeModel.eigensystem` and ``hat`` the (W, 2) spinor
+    transform on the same momenta.
+    """
+    vc = vec.conj()
+    return vc[..., 0] * hat[:, None, 0] + vc[..., 1] * hat[:, None, 1]
+
+
+def from_branches(vec: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """Spinor transform sum_j amp_j(k) u_j(k), the inverse of :func:`to_branches`."""
+    return amp[:, 0, None] * vec[:, 0, :] + amp[:, 1, None] * vec[:, 1, :]
+
+
+def _fourier_window(
+    state: LatticeState, size: int, what: str
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Centre ``state`` in a ``size``-site window and transform it.
+
+    Returns the first site of the window, its momenta 2 pi m / size and
+    the (size, 2) FFT.  The site cap is checked before anything is
+    allocated.
+    """
+    if size > MAX_WINDOW:
+        raise ResourceLimitError(f"{what} window of {size} sites exceeds {MAX_WINDOW}")
+    n = state.hi - state.lo
+    x0 = state.lo - (size - n) // 2
+    buf = np.zeros((size, 2), dtype=complex)
+    buf[state.lo - x0 : state.hi - x0] = state.amp
+    k = 2.0 * math.pi * np.arange(size) / size
+    return x0, k, np.fft.fft(buf, axis=0)
+
+
 def _window_mask(window: VelocityWindow, v: np.ndarray) -> np.ndarray:
     if callable(window):
         return np.asarray(window(v), dtype=bool)
@@ -199,42 +242,31 @@ def velocity_projection(
     window: VelocityWindow,
     *,
     branches: Sequence[int] = (0, 1),
-    margin: int = 256,
     dft_size: int | None = None,
-    max_window: int = DEFAULT_MAX_WINDOW,
 ) -> LatticeState:
     """Spectral projection chi_B(V) onto a window of group velocities.
 
     The projector multiplies each branch amplitude by the indicator of
     ``window`` (a half open (lo, hi) pair or a boolean predicate) in the
-    Fourier picture, on a padded power-of-two grid.  The result keeps
-    the padded window; pass the same explicit ``dft_size`` when checking
-    algebraic identities between repeated projections, since re-gridding
-    truncated output folds in O(1/N) wrap-around error.
+    Fourier picture, on a grid padded by 256 sites on each side and
+    rounded up to a power of two.  The result keeps the padded window;
+    pass the same explicit ``dft_size`` when checking algebraic
+    identities between repeated projections, since re-gridding truncated
+    output folds in O(1/N) wrap-around error.
     """
     n = state.hi - state.lo
-    size = dft_size if dft_size is not None else _next_pow2(n + 2 * margin)
+    size = dft_size if dft_size is not None else _next_pow2(n + 512)
     if size < n:
         raise DomainError(f"dft_size {size} is smaller than the state support {n}")
-    if size > max_window:
-        raise ResourceLimitError(f"projection grid of {size} sites exceeds {max_window}")
-    x0 = state.lo - (size - n) // 2
-    buf = np.zeros((size, 2), dtype=complex)
-    buf[state.lo - x0 : state.hi - x0] = state.amp
-    k = 2.0 * math.pi * np.arange(size) / size
-    lam, vec = model.eigensystem(k)
+    x0, k, psi_hat = _fourier_window(state, size, "projection")
+    _, vec = model.eigensystem(k)
     v = model.velocity(k)
-    psi_hat = np.fft.fft(buf, axis=0)
-    out_hat = np.zeros_like(psi_hat)
+    mask = np.zeros((size, 2), dtype=bool)
     for j in branches:
         if j not in (0, 1):
             raise DomainError(f"branch must be 0 or 1, got {j}")
-        mask = _window_mask(window, v[:, j])
-        amp_j = mask * (
-            vec[:, j, 0].conj() * psi_hat[:, 0] + vec[:, j, 1].conj() * psi_hat[:, 1]
-        )
-        out_hat[:, 0] += amp_j * vec[:, j, 0]
-        out_hat[:, 1] += amp_j * vec[:, j, 1]
+        mask[:, j] = _window_mask(window, v[:, j])
+    out_hat = from_branches(vec, mask * to_branches(vec, psi_hat))
     return LatticeState(x0, np.fft.ifft(out_hat, axis=0))
 
 

@@ -21,8 +21,10 @@ iteration with certified increments:
   decaying), so the iterates are averaged over dyadic tail blocks
   (N/2, N], which removes bound state contamination at rate N^{-1/2}
   while leaving the limit of the scattering part untouched.  The whole
-  average is accumulated in the Fourier picture of a fixed window, so
-  one interacting evolution pass serves every block and both sides.
+  average is accumulated as free-walk branch amplitudes on the momentum
+  grid of one fixed window (``momentum.to_branches``) and turned back
+  into a spinor state once, at the end, so one interacting evolution
+  pass serves every block and both sides.
 
 Sides whose asymptotic coin is purely off diagonal (a = 0) carry no
 propagating modes; ``propagating_part`` projects them away, which is
@@ -40,8 +42,8 @@ import numpy as np
 
 from .coin import CoinField
 from .errors import ConvergenceError, DomainError, ResourceLimitError
-from .lattice import DEFAULT_MAX_WINDOW, Evolution, LatticeState, evolve
-from .momentum import FreeModel
+from .lattice import MAX_WINDOW, Evolution, LatticeState, evolve
+from .momentum import FreeModel, _fourier_window, _next_pow2, from_branches, to_branches
 
 __all__ = [
     "Schedule",
@@ -141,17 +143,7 @@ def propagating_part(pair: PairState, field: CoinField) -> PairState:
     return PairState(left, right)
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(int(n) - 1, 1).bit_length()
-
-
-def free_evolve(
-    state: LatticeState,
-    model: FreeModel,
-    steps: int,
-    *,
-    max_window: int = DEFAULT_MAX_WINDOW,
-) -> LatticeState:
+def free_evolve(state: LatticeState, model: FreeModel, steps: int) -> LatticeState:
     """Apply the homogeneous walk exactly via its Fourier symbol.
 
     ``steps`` may be negative.  The result lives on a padded power-of-two
@@ -159,22 +151,11 @@ def free_evolve(
     """
     if steps == 0:
         return state.copy()
-    n = state.hi - state.lo
-    size = _next_pow2(n + 2 * abs(steps) + 64)
-    if size > max_window:
-        raise ResourceLimitError(f"free evolution window of {size} sites exceeds {max_window}")
-    x0 = state.lo - (size - n) // 2
-    buf = np.zeros((size, 2), dtype=complex)
-    buf[state.lo - x0 : state.hi - x0] = state.amp
-    k = 2.0 * math.pi * np.arange(size) / size
+    size = _next_pow2(state.hi - state.lo + 2 * abs(steps) + 64)
+    x0, k, hat = _fourier_window(state, size, "free evolution")
     lam, vec = model.eigensystem(k)
     phases = np.exp(1j * steps * np.angle(lam))  # lambda^steps with exact modulus
-    hat = np.fft.fft(buf, axis=0)
-    out = np.zeros_like(hat)
-    for j in (0, 1):
-        amp_j = phases[:, j] * (vec[:, j, 0].conj() * hat[:, 0] + vec[:, j, 1].conj() * hat[:, 1])
-        out[:, 0] += amp_j * vec[:, j, 0]
-        out[:, 1] += amp_j * vec[:, j, 1]
+    out = from_branches(vec, phases * to_branches(vec, hat))
     return LatticeState(x0, np.fft.ifft(out, axis=0))
 
 
@@ -184,7 +165,6 @@ def wave_forward(
     schedule: Schedule | None = None,
     *,
     require_convergence: bool = False,
-    max_window: int = DEFAULT_MAX_WINDOW,
 ) -> tuple[LatticeState, ConvergenceReport]:
     """Iterated limit of U^{-n} J U_0^n on a pair of free states.
 
@@ -202,9 +182,9 @@ def wave_forward(
     for n in sched.checkpoints():
         sides = []
         for st, model in zip((pair.left, pair.right), models):
-            sides.append(st if st.norm_sq() == 0.0 else free_evolve(st, model, n, max_window=max_window))
+            sides.append(st if st.norm_sq() == 0.0 else free_evolve(st, model, n))
         joined = apply_J(PairState(*sides))
-        phi = evolve(joined, field, n, inverse=True, max_window=max_window)
+        phi = evolve(joined, field, n, inverse=True)
         cps.append(n)
         if prev is not None:
             inc = (phi - prev).norm()
@@ -223,7 +203,12 @@ def wave_forward(
 
 
 class _SideAccumulator:
-    """Fourier-space tail-block averaging of U_star^{-n} 1_star U^n psi."""
+    """Tail-block averaging of U_star^{-n} 1_star U^n psi in branch amplitudes.
+
+    The free eigenbasis is orthonormal at every k, so block averages and
+    their increments are taken on the amplitudes directly; the spinor
+    transform is rebuilt once, from the last block average.
+    """
 
     def __init__(self, model: FreeModel, k: np.ndarray, tol: float) -> None:
         lam, vec = model.eigensystem(k)
@@ -241,12 +226,7 @@ class _SideAccumulator:
         self.powers *= self.lam_conj
         if n % 1024 == 0:
             self.powers /= np.abs(self.powers)
-        for j in (0, 1):
-            t = self.powers[:, j] * (
-                self.u[:, j, 0].conj() * yhat[:, 0] + self.u[:, j, 1].conj() * yhat[:, 1]
-            )
-            self.acc[:, 0] += t * self.u[:, j, 0]
-            self.acc[:, 1] += t * self.u[:, j, 1]
+        self.acc += self.powers * to_branches(self.u, yhat)
 
     def checkpoint(self, n: int, prev_n: int) -> float:
         avg = (self.acc - self.snap) / (n - prev_n)
@@ -262,7 +242,8 @@ class _SideAccumulator:
 
     def result(self, x0: int) -> tuple[LatticeState, ConvergenceReport]:
         assert self.block_avg is not None
-        state = LatticeState(x0, np.fft.ifft(self.block_avg, axis=0)).trimmed(1e-15)
+        hat = from_branches(self.u, self.block_avg)
+        state = LatticeState(x0, np.fft.ifft(hat, axis=0)).trimmed(1e-15)
         converged = bool(self.increments and self.increments[-1] <= self.tol)
         return state, ConvergenceReport(self.checkpoints, self.increments, self.tol, converged)
 
@@ -272,15 +253,14 @@ def _tail_averaged_outgoing(
     field: CoinField,
     sched: Schedule,
     sides: Iterable[str],
-    max_window: int,
 ) -> dict[str, tuple[LatticeState, ConvergenceReport]]:
     sides = list(sides)
     support = state.hi - state.lo
     n_max = sched.n_max
     size = _next_pow2(support + 4 * n_max + 256)
-    if size > max_window:
+    if size > MAX_WINDOW:
         raise ResourceLimitError(
-            f"outgoing-state window of {size} sites exceeds {max_window}; lower n_max"
+            f"outgoing-state window of {size} sites exceeds {MAX_WINDOW}; lower n_max"
         )
     x0 = state.lo - 2 * n_max - 128
     k = 2.0 * math.pi * np.arange(size) / size
@@ -315,8 +295,6 @@ def outgoing_pair(
     state: LatticeState,
     field: CoinField,
     schedule: Schedule | None = None,
-    *,
-    max_window: int = DEFAULT_MAX_WINDOW,
 ) -> tuple[PairState, dict[str, ConvergenceReport]]:
     """Tail-averaged outgoing states of both sides in one evolution pass.
 
@@ -325,7 +303,7 @@ def outgoing_pair(
     """
     sched = schedule or Schedule()
     sides = [s for s in ("left", "right") if field.asymptotic(s).a > 0.0]
-    results = _tail_averaged_outgoing(state, field, sched, sides, max_window) if sides else {}
+    results = _tail_averaged_outgoing(state, field, sched, sides) if sides else {}
     out: dict[str, LatticeState] = {}
     reports: dict[str, ConvergenceReport] = {}
     for s in ("left", "right"):
@@ -342,8 +320,6 @@ def outgoing_state(
     field: CoinField,
     side: str,
     schedule: Schedule | None = None,
-    *,
-    max_window: int = DEFAULT_MAX_WINDOW,
 ) -> tuple[LatticeState, ConvergenceReport]:
     """Tail-averaged outgoing state of one side."""
     if side not in ("left", "right"):
@@ -351,7 +327,7 @@ def outgoing_state(
     if field.asymptotic(side).a == 0.0:
         raise DomainError(f"the {side} asymptotic walk has no propagating modes (a = 0)")
     sched = schedule or Schedule()
-    results = _tail_averaged_outgoing(state, field, sched, [side], max_window)
+    results = _tail_averaged_outgoing(state, field, sched, [side])
     return results[side]
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .coin import CoinField
 from .errors import ConvergenceError, DomainError
 from .konno import VelocityGrid, apply_K, konno_density, velocity_grid
-from .lattice import DEFAULT_MAX_WINDOW, Evolution, LatticeState, evolve
+from .lattice import Evolution, LatticeState, evolve
 from .momentum import FreeModel, velocity_projection
 from .scattering import PairState, Schedule, outgoing_pair
 
@@ -100,7 +100,6 @@ def limit_distribution(
     *,
     grid_points: int = 513,
     mass_tol: float = 1e-3,
-    max_window: int = DEFAULT_MAX_WINDOW,
 ) -> LimitDistribution:
     """Compute the full weak limit of a normalized state.
 
@@ -112,7 +111,7 @@ def limit_distribution(
         captured mass exceeds 1 by more than ``mass_tol``.
     """
     _require_normalized(state)
-    pair, conv_reports = outgoing_pair(state, field_, schedule, max_window=max_window)
+    pair, conv_reports = outgoing_pair(state, field_, schedule)
     reports: dict[str, Any] = {
         "outgoing": pair,
         "convergence_left": conv_reports["left"],
@@ -136,7 +135,7 @@ def limit_distribution(
             captured += kappa
             continue
         window = (lambda v: v < 0.0) if side == "left" else (lambda v: v > 0.0)
-        proj = velocity_projection(phi, model, window, max_window=max_window).trimmed(1e-15)
+        proj = velocity_projection(phi, model, window).trimmed(1e-15)
         pnorm = proj.norm_sq()
         grid = velocity_grid(model, grid_points, "neg" if side == "left" else "pos")
         w = np.zeros(grid.v.shape, dtype=float)
@@ -223,7 +222,6 @@ def pure_point_mass(
     radius: int = 64,
     gate: float = 5e-2,
     outgoing: PairState | None = None,
-    max_window: int = DEFAULT_MAX_WINDOW,
 ) -> float:
     """Mass bound in eigenstates: 1 minus the outgoing norms.
 
@@ -236,9 +234,9 @@ def pure_point_mass(
     """
     _require_normalized(state)
     if outgoing is None:
-        outgoing, _ = outgoing_pair(state, field_, schedule, max_window=max_window)
+        outgoing, _ = outgoing_pair(state, field_, schedule)
     deficit = 1.0 - outgoing.norm_sq()
-    stay = _localized_time_average(state, field_, horizon, radius, max_window)
+    stay = _localized_time_average(state, field_, horizon, radius)
     if abs(deficit - stay) > gate:
         raise ConvergenceError(
             f"bound-state mass estimates disagree: norm deficit {deficit:.4f} "
@@ -252,11 +250,10 @@ def _localized_time_average(
     field_: CoinField,
     horizon: int,
     radius: int,
-    max_window: int,
 ) -> float:
     if horizon < 2:
         raise DomainError("horizon must be at least 2")
-    ev = Evolution(state, field_, horizon, max_window=max_window)
+    ev = Evolution(state, field_, horizon)
     start = horizon // 2
     acc = 0.0
     for n in range(1, horizon + 1):
@@ -275,7 +272,6 @@ def compare_empirical(
     xi: Sequence[float] = (1.0, 2.0, 5.0),
     v_grid: np.ndarray | None = None,
     guard: float = 0.02,
-    max_window: int = DEFAULT_MAX_WINDOW,
 ) -> list[dict[str, Any]]:
     """Finite-time laws of X_n / n against the limit, one record per n.
 
@@ -298,7 +294,7 @@ def compare_empirical(
     for n in sorted(int(n) for n in ns):
         if n < 1:
             raise DomainError("comparison times must be >= 1")
-        phi = evolve(state, field_, n, max_window=max_window)
+        phi = evolve(state, field_, n)
         xs, probs = phi.position_distribution()
         cum = np.cumsum(probs)
         idx = np.searchsorted(xs, kept * n, side="right")

@@ -208,6 +208,19 @@ def test_non_unitary_site_override_exits_3(tmp_path, capsys):
     assert "x=0" in err["message"]
 
 
+def test_nan_site_override_exits_3(tmp_path, capsys):
+    bad = HADAMARD_INI + "\n[coin.site.0]\nmatrix = nan,0 0,0 0,0 1,0\n"
+    err = expect_error(tmp_path, capsys, bad, "DomainError", 3, command="density")
+    assert "x=0" in err["message"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_non_finite_state_exits_3(tmp_path, capsys):
+    bad = HADAMARD_INI.replace("0 = 1,0 0,0", "0 = nan,0 0,0")
+    expect_error(tmp_path, capsys, bad, "DomainError", 3, command="density")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_zero_state_exits_3(tmp_path, capsys):
     expect_error(tmp_path, capsys, HADAMARD_INI.replace("0 = 1,0 0,0", "0 = 0,0 0,0"), "DomainError", 3)
 

@@ -78,6 +78,8 @@ def test_from_matrix_rejects_nonunitary():
         CoinMatrix.from_matrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
     with pytest.raises(DomainError):
         CoinMatrix.from_matrix(np.eye(3))
+    with pytest.raises(DomainError):
+        CoinMatrix.from_matrix(np.diag([math.nan, 1.0]))
 
 
 def test_constructor_rejects_bad_moduli():
@@ -87,6 +89,8 @@ def test_constructor_rejects_bad_moduli():
         CoinMatrix(-0.3, math.sqrt(1 - 0.09), 0.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         CoinMatrix(math.nan, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(DomainError):
+        CoinMatrix(0.6, 0.8, 0.0, 0.0, math.nan)  # angles too
 
 
 def test_degenerate_moduli_pin_phases():
@@ -153,6 +157,9 @@ def test_field_rejects_nonunitary_override():
     coin = hadamard_coin()
     with pytest.raises(DomainError):
         CoinField(left=coin, right=coin, overrides={2: np.array([[1.0, 0.2], [0.0, 1.0]])})
+    # NaN fails every comparison, so it must not slip past the deviation test
+    with pytest.raises(DomainError):
+        CoinField(left=coin, right=coin, overrides={0: np.diag([math.nan, 1.0])})
 
 
 def test_tail_applies_beyond_override_radius_only():

@@ -12,12 +12,11 @@ import pytest
 from conftest import dense_step_matrix, dense_to_state, random_coin, random_state, state_to_dense
 from qwscatter import (
     CoinField,
+    CoinMatrix,
     DomainError,
     Evolution,
     LatticeState,
     ResourceLimitError,
-    apply_coin,
-    apply_shift,
     evolve,
     fourier_at,
     hadamard_coin,
@@ -35,6 +34,14 @@ def test_point_state_and_entries():
     assert np.all(vals[1:-1] == 0.0)
     z = LatticeState.zero(-1, 4)
     assert z.norm() == 0.0
+
+
+def test_state_rejects_non_finite_amplitudes():
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(DomainError):
+            LatticeState(0, np.array([[bad, 0.0]]))
+        with pytest.raises(DomainError):
+            LatticeState.from_entries({0: (1.0, 0.0), 3: (0.0, bad)})
 
 
 def test_values_on_pads_with_zeros(rng):
@@ -90,24 +97,16 @@ def test_component_and_restriction(rng):
 
 
 def test_shift_moves_components_oppositely():
+    # under the identity coin one step of U = S C is the bare shift S
+    identity = CoinMatrix(1, 0, 0, 0, 0)
+    fld = CoinField(left=identity, right=identity)
     s = LatticeState.point(0, (1.0, 1.0))
-    shifted = apply_shift(s)
+    shifted = evolve(s, fld, 1)
     assert np.allclose(shifted.values_on(-1, 0)[0], (1.0, 0.0))
     assert np.allclose(shifted.values_on(1, 2)[0], (0.0, 1.0))
     assert np.allclose(shifted.values_on(0, 1)[0], (0.0, 0.0))
-    back = apply_shift(shifted, inverse=True)
+    back = evolve(shifted, fld, 1, inverse=True)
     assert (back - s).norm() < 1e-15
-
-
-def test_apply_coin_is_sitewise(rng):
-    fld = CoinField(left=random_coin(rng), right=random_coin(rng))
-    s = random_state(rng, -3, 3)
-    out = apply_coin(s, fld)
-    for x in range(-3, 3):
-        expect = fld.at(x) @ s.values_on(x, x + 1)[0]
-        assert np.allclose(out.values_on(x, x + 1)[0], expect, atol=1e-14)
-    undone = apply_coin(out, fld, adjoint=True)
-    assert (undone - s).norm() < 1e-14
 
 
 def test_evolve_matches_dense_step_matrix(rng):
@@ -166,7 +165,7 @@ def test_evolution_window_cap():
     s = LatticeState.point(0)
     fld = CoinField(left=hadamard_coin(), right=hadamard_coin())
     with pytest.raises(ResourceLimitError):
-        Evolution(s, fld, max_steps=100, max_window=64)
+        Evolution(s, fld, max_steps=1 << 20)
 
 
 def test_fourier_at_matches_direct_sum(rng):

@@ -25,6 +25,7 @@ from qwscatter import (
     spectrum_arcs,
     velocity_projection,
 )
+from qwscatter.momentum import from_branches, to_branches
 
 
 def test_symbol_is_unitary_and_has_coin_determinant(rng):
@@ -132,6 +133,33 @@ def test_spectral_decomposition_reconstructs_symbol(rng):
         proj = np.einsum("ka,kb->kab", vec[:, j, :], vec[:, j, :].conj())
         rebuilt += lam[:, j, None, None] * proj
     assert np.abs(rebuilt - sym).max() < 1e-10
+
+
+@pytest.mark.parametrize("diagonal", [False, True], ids=["random", "a1"])
+def test_branch_kernel_matches_eig_projectors(rng, diagonal):
+    for _ in range(5):
+        coin = random_coin(rng)
+        if diagonal:
+            coin = CoinMatrix(1.0, 0.0, coin.alpha, 0.0, coin.delta)
+        model = FreeModel(coin)
+        ks = 2.0 * np.pi * np.arange(64) / 64
+        hat = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
+        _, vec = model.eigensystem(ks)
+        amp = to_branches(vec, hat)
+        assert amp.shape == (64, 2)
+        assert abs(np.linalg.norm(amp) - np.linalg.norm(hat)) < 1e-13 * np.linalg.norm(hat)
+        assert np.abs(from_branches(vec, amp) - hat).max() < 1e-13
+        # each branch alone is the rank-one eig projector, free of gauge
+        w, v = np.linalg.eig(model.symbol(ks))
+        for j in (0, 1):
+            keep = np.zeros((64, 2))
+            keep[:, j] = 1.0
+            got = from_branches(vec, keep * amp)
+            for i in range(64):
+                col = v[i][:, np.argmax(np.abs(v[i].conj().T @ vec[i, j]))]
+                col = col / np.linalg.norm(col)
+                want = col * (col.conj() @ hat[i])
+                assert np.abs(got[i] - want).max() < 1e-12
 
 
 def test_spectrum_arcs_hadamard_thresholds_frozen():
