@@ -21,7 +21,9 @@ the four of them together are norm preserving.
 Quadrature grids substitute v = r sin(theta); the transformed weight
 sqrt(1 - r^2) / (2 pi (1 - r^2 sin^2 theta)) is analytic, so
 Gauss-Legendre in theta converges spectrally despite the inverse square
-root singularities at v = +-r.
+root singularities at v = +-r.  The rule comes from Newton iteration on
+the three-term recurrence for P_n (Hale & Townsend, SIAM J. Sci. Comput.
+2013): O(n^2) flops, with nodes and weights exactly symmetric about 0.
 """
 
 from __future__ import annotations
@@ -161,6 +163,22 @@ class VelocityGrid:
         return float(np.sum(self.weight))
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights 2 / ((1 - x^2) P_n'(x)^2), from Tricomi's guesses."""
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    while True:
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+        dx = p1 / dp
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
 _THETA_RANGES = {
     "full": (-0.5 * math.pi, 0.5 * math.pi),
     "neg": (-0.5 * math.pi, 0.0),
@@ -184,7 +202,7 @@ def velocity_grid(
         raise DomainError(f"side must be 'full', 'neg' or 'pos', got {side!r}")
     if points < 2:
         raise DomainError("grid needs at least 2 points")
-    nodes, gl_weights = np.polynomial.legendre.leggauss(points)
+    nodes, gl_weights = _gauss_legendre(points)
     lo, hi = _THETA_RANGES[side]
     half = 0.5 * (hi - lo)
     theta = 0.5 * (hi + lo) + half * nodes
@@ -198,7 +216,9 @@ def apply_K(state: LatticeState, model: FreeModel, branch: int, m: int, grid: Ve
     """Sample K_{j,m} psi on a velocity grid.
 
     (K_{j,m} psi)(v) = < u_j(k), hat(psi)(k) > at k = k_{j,m}(v); the
-    Fourier transform is evaluated as an exact sum over the support.
+    Fourier transform comes from the non-uniform FFT
+    :func:`~qwscatter.lattice.fourier_at`, accurate to 1e-12 times the
+    l^1 norm of psi at every node.
     """
     if abs(grid.r - model.coin.a) > 1e-12:
         raise DomainError("grid speed bound does not match the model")

@@ -8,12 +8,13 @@ moves component 0 one site down and component 1 one site up,
     (S psi)(x) = (psi0(x + 1), psi1(x - 1)).
 
 The support grows by one site per step, so ``evolve`` allocates the full
-final window once and steps in place.  Everything here is exact up to
-floating point roundoff; there is no truncation of the state.
+final window once and steps in place.  Evolution is exact up to roundoff
+with no truncation of the state; ``fourier_at`` is a non-uniform FFT.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -30,10 +31,12 @@ __all__ = [
     "fourier_at",
 ]
 
-# Largest window, in sites, that any evolution or Fourier grid may allocate.
+# Largest window, in sites, of any evolution or Fourier grid (fourier_at's
+# oversampled grid excepted: it is at most twice the state's support).
 MAX_WINDOW = 1 << 20
 
-_FOURIER_CHUNK = 4096
+# Half-width, in fine-grid points, of fourier_at's Gaussian kernel; 14 reaches 1e-13.
+_SPREAD = 14
 
 
 @dataclass
@@ -208,20 +211,36 @@ class LatticeState:
         return complex(np.sum(p * np.exp(1j * xi * x / scale)))
 
 
+def _next_pow2(n: int) -> int:
+    return 1 << max(int(n) - 1, 1).bit_length()
+
+
 def fourier_at(state: LatticeState, k: np.ndarray) -> np.ndarray:
     """Fourier transform sum_x exp(-i k x) psi(x) at arbitrary momenta.
 
-    Returns shape (len(k), 2).  Evaluated as an exact trigonometric sum
-    in chunks over the support, so irregular momentum sets cost
-    O(len(k) * support) but need no padding or interpolation.
+    Returns shape (len(k), 2).  A type-2 non-uniform FFT with a Gaussian
+    kernel (Greengard & Lee, SIAM Rev. 2004): the n sites, centred at c,
+    are divided by the kernel's Fourier coefficients and transformed on
+    a fine grid of 2n points or more (a power of two, at least 32); each
+    k is interpolated from its 28 nearest grid points and multiplied by
+    exp(-i k c).  The error stays below 1e-12 * sum_x |psi(x)|.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    out = np.zeros((k.size, 2), dtype=complex)
-    for start in range(0, state.amp.shape[0], _FOURIER_CHUNK):
-        stop = min(start + _FOURIER_CHUNK, state.amp.shape[0])
-        x = np.arange(state.lo + start, state.lo + stop)
-        out += np.exp(-1j * np.outer(k, x)) @ state.amp[start:stop]
-    return out
+    n = state.amp.shape[0]
+    size = max(_next_pow2(2 * n), 32)
+    tau = 4.0 * math.pi * _SPREAD / (3.0 * size * size)
+    y = np.arange(n) - n // 2
+    c = state.lo + n // 2
+    buf = np.zeros((size, 2), dtype=complex)
+    buf[y % size] = state.amp * np.exp(tau * y * y)[:, None]
+    fine = np.fft.fft(buf, axis=0)
+    h = 2.0 * math.pi / size
+    m = np.floor(k / h).astype(np.int64)[:, None] + np.arange(1 - _SPREAD, _SPREAD + 1)
+    kernel = np.exp(-((k[:, None] - m * h) ** 2) / (4.0 * tau)) * (math.sqrt(math.pi / tau) / size)
+    # hi on a 2^-20 grid makes hi * c exact, so the phase stays accurate at large c
+    hi = np.round(k * 2.0**20) * 2.0**-20
+    phase = np.exp(-1j * (hi * c)) * np.exp(-1j * ((k - hi) * c))
+    return np.einsum("kj,kjc->kc", kernel, fine[m % size]) * phase[:, None]
 
 
 class Evolution:

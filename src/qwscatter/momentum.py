@@ -32,7 +32,7 @@ import numpy as np
 
 from .coin import CoinMatrix, wrap_angle
 from .errors import DomainError, ResourceLimitError
-from .lattice import MAX_WINDOW, LatticeState
+from .lattice import MAX_WINDOW, LatticeState, _next_pow2
 
 __all__ = [
     "FreeModel",
@@ -188,10 +188,6 @@ def spectrum_arcs(model: FreeModel | CoinMatrix) -> SpectrumArcs:
         np.exp(1j * (half + t)) for t in (w, math.pi - w, -w, w - math.pi)
     )
     return SpectrumArcs(arcs=arcs, thresholds=thresholds, eigenvalues=())
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << max(int(n) - 1, 1).bit_length()
 
 
 def to_branches(vec: np.ndarray, hat: np.ndarray) -> np.ndarray:

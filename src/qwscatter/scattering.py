@@ -42,8 +42,8 @@ import numpy as np
 
 from .coin import CoinField
 from .errors import ConvergenceError, DomainError, ResourceLimitError
-from .lattice import MAX_WINDOW, Evolution, LatticeState, evolve
-from .momentum import FreeModel, _fourier_window, _next_pow2, from_branches, to_branches
+from .lattice import MAX_WINDOW, Evolution, LatticeState, _next_pow2, evolve
+from .momentum import FreeModel, _fourier_window, from_branches, to_branches
 
 __all__ = [
     "Schedule",
@@ -72,8 +72,8 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.first < 2 or self.n_max < self.first:
             raise DomainError("need 2 <= first <= n_max")
-        if not self.tol > 0.0:
-            raise DomainError("tolerance must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError("tolerance must be positive and finite")
 
     def checkpoints(self) -> list[int]:
         ns = [self.first]

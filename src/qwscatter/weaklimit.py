@@ -282,6 +282,10 @@ def compare_empirical(
     statistic, characteristic function errors at each ``xi`` and the
     first two moment errors.
     """
+    if not 0.0 <= guard < np.inf:
+        raise DomainError(f"guard must be finite and >= 0, got {guard}")
+    if not np.isfinite(np.asarray(xi, dtype=float)).all():
+        raise DomainError(f"characteristic function arguments must be finite, got {tuple(xi)}")
     grid = np.linspace(-1.0, 1.0, 401) if v_grid is None else np.asarray(v_grid, dtype=float)
     keep = np.ones(grid.shape, dtype=bool)
     for pos, _ in dist.atoms():

@@ -5,6 +5,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from qwscatter.cli import main
 
@@ -234,6 +235,30 @@ def test_bad_schedule_exits_3(tmp_path, capsys):
         3,
         command="limit-dist",
     )
+
+
+@pytest.mark.parametrize("guard", ["nan", "-0.1"])
+def test_bad_guard_exits_3(tmp_path, capsys, guard):
+    # a NaN guard used to drop every grid point and report ks = 0
+    bad = HADAMARD_INI.replace("n_max = 256", "n_max = 128") + f"guard = {guard}\n"
+    err = expect_error(tmp_path, capsys, bad, "DomainError", 3, command="compare")
+    assert "guard" in err["message"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("xi", ["nan", "inf"])
+def test_non_finite_xi_exits_3(tmp_path, capsys, xi):
+    bad = HADAMARD_INI.replace("n_max = 256", "n_max = 128") + f"xi = 1,{xi}\n"
+    expect_error(tmp_path, capsys, bad, "DomainError", 3, command="compare")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_infinite_tol_exits_3(tmp_path, capsys):
+    err = expect_error(
+        tmp_path, capsys, HADAMARD_INI + "tol = inf\n", "DomainError", 3, command="limit-dist"
+    )
+    assert "tolerance" in err["message"]
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_estimator_disagreement_exits_4(tmp_path, capsys):

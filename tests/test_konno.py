@@ -14,8 +14,10 @@ import pytest
 
 from conftest import random_coin, random_state
 from qwscatter import (
+    CoinMatrix,
     DomainError,
     FreeModel,
+    LatticeState,
     apply_K,
     apply_K_adjoint,
     compose_K_adjoint,
@@ -29,6 +31,7 @@ from qwscatter import (
     velocity_grid,
     wrap_angle,
 )
+from qwscatter.konno import _gauss_legendre
 
 
 def test_density_value_at_zero_frozen():
@@ -66,6 +69,20 @@ def test_second_moment_closed_form(r):
     grid = velocity_grid(r, 513)
     second = 2.0 * float(np.sum(grid.weight * grid.v**2))
     assert abs(second - (1.0 - math.sqrt(1.0 - r * r))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 65, 129, 513, 2049])
+def test_gauss_legendre_rule(n):
+    x, w = _gauss_legendre(n)
+    ref_x, _ = np.polynomial.legendre.leggauss(n)
+    # leggauss's weights are not compared: near the endpoints they are
+    # off by 7e-8 relative at n = 2049 (an mpmath check puts the Newton
+    # weights within 4e-12 there), so only its nodes serve as a reference
+    assert np.max(np.abs(x - ref_x)) < 1e-14
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(w.sum() - 2.0) < 1e-14
+    for j in range(min(n - 1, 40) + 1):
+        assert abs(np.sum(w * x ** (2 * j)) - 2.0 / (2 * j + 1)) < 1e-14
 
 
 def test_velocity_grid_masses_and_ranges():
@@ -198,6 +215,22 @@ def test_translators_preserve_the_norm(rng):
         model = FreeModel(random_coin(rng, a_range=(0.1, 0.9)))
         grid = velocity_grid(model, 129)
         psi = random_state(rng, -12, 13)
+        total = sum(
+            grid.norm_sq(apply_K(psi, model, j, m, grid)) for j in (0, 1) for m in (0, 1)
+        )
+        assert abs(total - 1.0) < 1e-12
+
+
+def test_translators_preserve_the_norm_at_bench_sizes(rng):
+    # a 2049-node grid and a 4096-site window, as on the tails-fine
+    # bench workload; random amplitudes on the middle 2048 sites keep
+    # the quadrature exact, so the check sees the Fourier evaluation
+    amp = np.zeros((4096, 2), dtype=complex)
+    amp[1024:3072] = rng.standard_normal((2048, 2)) + 1j * rng.standard_normal((2048, 2))
+    psi = LatticeState(-3000, amp / np.linalg.norm(amp))
+    for a in (0.8, 0.6):
+        model = FreeModel(CoinMatrix(a, math.sqrt(1.0 - a * a), 0.0, 0.0, math.pi))
+        grid = velocity_grid(model, 2049)
         total = sum(
             grid.norm_sq(apply_K(psi, model, j, m, grid)) for j in (0, 1) for m in (0, 1)
         )

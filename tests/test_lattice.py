@@ -168,14 +168,39 @@ def test_evolution_window_cap():
         Evolution(s, fld, max_steps=1 << 20)
 
 
+def direct_sum(state, k):
+    """Frozen oracle for fourier_at: sum_x exp(-i k x) psi(x) term by term.
+
+    Each k is split as hi + (k - hi) with hi on a 2^-20 grid, so that
+    hi * x is exact and the phases stay accurate far from the origin.
+    """
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    hi = np.round(k * 2.0**20) * 2.0**-20
+    x = state.sites
+    phases = np.exp(-1j * np.outer(hi, x)) * np.exp(-1j * np.outer(k - hi, x))
+    return phases @ state.amp
+
+
 def test_fourier_at_matches_direct_sum(rng):
-    s = random_state(rng, -5, 6)
-    ks = np.array([0.0, 0.3, -1.2, np.pi])
-    hat = fourier_at(s, ks)
-    xs = np.arange(s.lo, s.hi)
-    for i, k in enumerate(ks):
-        direct = np.sum(np.exp(-1j * k * xs)[:, None] * s.amp, axis=0)
-        assert np.allclose(hat[i], direct, atol=1e-13)
+    for length in (1, 2, 17, 1024, 4097, 16384):
+        amp = rng.standard_normal((length, 2)) + 1j * rng.standard_normal((length, 2))
+        fine = max(1 << (2 * length - 1).bit_length(), 32)  # the NUFFT's fine grid
+        ks = np.concatenate(
+            [
+                rng.uniform(-4.0 * np.pi, 4.0 * np.pi, 64),
+                [0.0, np.pi, -np.pi, 2.0 * np.pi, 4.0 * np.pi, -4.0 * np.pi],
+                2.0 * np.pi * np.array([1, 2, fine // 3, fine - 1, -1, -fine // 2]) / fine,
+            ]
+        )
+        for lo in (0, -(length // 2), -(1 << 15) + 5):
+            s = LatticeState(lo, amp)
+            hat = fourier_at(s, ks)
+            assert hat.shape == (ks.size, 2)
+            err = np.max(np.abs(hat - direct_sum(s, ks)))
+            assert err <= 1e-12 * np.abs(amp).sum(), (length, lo, err)
+    hat = fourier_at(s, 0.3)  # a scalar momentum
+    assert hat.shape == (1, 2)
+    assert np.max(np.abs(hat - direct_sum(s, 0.3))) <= 1e-12 * np.abs(amp).sum()
 
 
 def test_position_distribution_and_localized_mass(rng):

@@ -60,8 +60,9 @@ def test_schedule_checkpoints_are_dyadic_then_capped():
     assert Schedule(n_max=64, first=64).checkpoints() == [64]
     with pytest.raises(DomainError):
         Schedule(n_max=10, first=64)
-    with pytest.raises(DomainError):
-        Schedule(tol=0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            Schedule(tol=bad)
 
 
 def test_convergence_report_require():

@@ -190,6 +190,9 @@ def test_compare_empirical_records(had_dist, had_field):
     assert all(err < 0.1 for err in rec["cf_error"].values())
     with pytest.raises(DomainError):
         compare_empirical(had_dist, psi, had_field, ns=(0,))
+    for bad in ({"guard": math.nan}, {"guard": -0.1}, {"xi": (1.0, math.nan)}, {"xi": (math.inf,)}):
+        with pytest.raises(DomainError):
+            compare_empirical(had_dist, psi, had_field, ns=(50,), **bad)
 
 
 def test_reflecting_field_gives_origin_atom_only():
