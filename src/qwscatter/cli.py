@@ -55,6 +55,7 @@ import argparse
 import configparser
 import csv
 import json
+import os
 import sys
 from typing import Any, Callable, Sequence
 
@@ -162,7 +163,10 @@ def _tail_from_section(cp: configparser.ConfigParser, section: str) -> TailRule:
 
 def _load_config(path: str) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None)
-    read = cp.read(path)
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     known = {"coin.left", "coin.right", "coin.tail.left", "coin.tail.right", "state", "run"}
@@ -418,6 +422,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cp = _load_config(args.config)
+        out_dir = os.path.dirname(args.out) or "."
+        if not os.path.isdir(out_dir):
+            raise ConfigError(f"output directory {out_dir!r} does not exist")
         _HANDLERS[args.command](cp, args.out)
     except QwalkError as exc:
         payload = {

@@ -149,14 +149,6 @@ class CoinMatrix:
             ]
         )
 
-    @property
-    def is_diagonal(self) -> bool:
-        return self.a == 1.0
-
-    @property
-    def is_off_diagonal(self) -> bool:
-        return self.a == 0.0
-
 
 def hadamard_coin() -> CoinMatrix:
     """The Hadamard coin, (a, alpha, beta, delta) = (1/sqrt(2), 0, 0, pi)."""

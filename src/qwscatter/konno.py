@@ -21,9 +21,13 @@ the four of them together are norm preserving.
 Quadrature grids substitute v = r sin(theta); the transformed weight
 sqrt(1 - r^2) / (2 pi (1 - r^2 sin^2 theta)) is analytic, so
 Gauss-Legendre in theta converges spectrally despite the inverse square
-root singularities at v = +-r.  The rule comes from Newton iteration on
-the three-term recurrence for P_n (Hale & Townsend, SIAM J. Sci. Comput.
-2013): O(n^2) flops, with nodes and weights exactly symmetric about 0.
+root singularities at v = +-r.  The rule is a value, built once by
+``gauss_legendre`` and mapped onto any velocity range by
+``velocity_grid``: Newton iteration on the three-term recurrence for
+P_n (Hale & Townsend, SIAM J. Sci. Comput. 2013), O(n^2) flops, with
+nodes and weights exactly symmetric about 0.  ``apply_K`` and
+``apply_K_adjoint`` run the NUFFT pair ``lattice.fourier_at`` and
+``lattice.fourier_at_adjoint``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import DomainError
-from .lattice import LatticeState, fourier_at
+from .lattice import LatticeState, fourier_at, fourier_at_adjoint
 from .momentum import FreeModel, to_branches
 
 __all__ = [
@@ -45,13 +49,12 @@ __all__ = [
     "k_interval",
     "in_k_interval",
     "VelocityGrid",
+    "gauss_legendre",
     "velocity_grid",
     "apply_K",
     "apply_K_adjoint",
     "compose_K_adjoint",
 ]
-
-_ADJOINT_CHUNK = 4096
 
 
 def konno_density(v: np.ndarray, r: float) -> np.ndarray:
@@ -163,8 +166,14 @@ class VelocityGrid:
         return float(np.sum(self.weight))
 
 
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending nodes and weights 2 / ((1 - x^2) P_n'(x)^2), from Tricomi's guesses."""
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], n >= 2.
+
+    Ascending nodes and weights 2 / ((1 - x^2) P_n'(x)^2), by Newton
+    iteration from Tricomi's guesses.
+    """
+    if n < 2:
+        raise DomainError("grid needs at least 2 points")
     x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
     while True:
         p0, p1 = np.ones_like(x), x
@@ -188,21 +197,20 @@ _THETA_RANGES = {
 
 def velocity_grid(
     model: FreeModel | float,
-    points: int = 513,
+    rule: tuple[np.ndarray, np.ndarray],
     side: Literal["full", "neg", "pos"] = "full",
 ) -> VelocityGrid:
-    """Build a quadrature grid for the limit density of ``model``.
+    """Map a Gauss-Legendre ``rule`` onto the velocity range of ``model``.
 
-    Accepts either a :class:`FreeModel` or the speed bound r directly.
+    Accepts either a :class:`FreeModel` or the speed bound r directly;
+    ``rule`` is the (nodes, weights) pair of :func:`gauss_legendre`.
     """
     r = model.coin.a if isinstance(model, FreeModel) else float(model)
     if not 0.0 < r < 1.0:
         raise DomainError(f"grid needs a speed bound in (0, 1), got {r}")
     if side not in _THETA_RANGES:
         raise DomainError(f"side must be 'full', 'neg' or 'pos', got {side!r}")
-    if points < 2:
-        raise DomainError("grid needs at least 2 points")
-    nodes, gl_weights = _gauss_legendre(points)
+    nodes, gl_weights = rule
     lo, hi = _THETA_RANGES[side]
     half = 0.5 * (hi - lo)
     theta = 0.5 * (hi + lo) + half * nodes
@@ -244,26 +252,18 @@ def apply_K_adjoint(
 
     which is the exact adjoint of :func:`apply_K` with respect to the
     grid inner product; its pointwise values converge spectrally to the
-    continuum adjoint.  The true adjoint has 1/|x| tails, so choose the
-    window according to how much of it is needed.
+    continuum adjoint.  The sum is the type-1 NUFFT
+    :func:`~qwscatter.lattice.fourier_at_adjoint`, the adjoint of the
+    transform inside :func:`apply_K`.  The true adjoint has 1/|x|
+    tails, so choose the window according to how much of it is needed.
     """
     values = np.asarray(values, dtype=complex)
     if values.shape != grid.v.shape:
         raise DomainError("values must be sampled on the given grid")
-    lo, hi = int(window[0]), int(window[1])
-    if hi <= lo:
-        raise DomainError(f"empty window [{lo}, {hi})")
     k = k_map(model, branch, m, grid.v)
     _, vec = model.eigensystem(k)
-    u = vec[:, branch, :]
-    coeff = (grid.weight * values)[:, None] * u  # (points, 2)
-    amp = np.empty((hi - lo, 2), dtype=complex)
-    for start in range(lo, hi, _ADJOINT_CHUNK):
-        stop = min(start + _ADJOINT_CHUNK, hi)
-        x = np.arange(start, stop)
-        phases = np.exp(1j * np.outer(x, k))
-        amp[start - lo : stop - lo] = phases @ coeff
-    return LatticeState(lo, amp)
+    coeff = (grid.weight * values)[:, None] * vec[:, branch, :]  # (points, 2)
+    return fourier_at_adjoint(coeff, k, int(window[0]), int(window[1]))
 
 
 def compose_K_adjoint(

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .coin import CoinMatrix, wrap_angle
-from .errors import DomainError, ResourceLimitError
-from .lattice import MAX_WINDOW, LatticeState, _next_pow2
+from .errors import DomainError
+from .lattice import LatticeState, _check_window, _next_pow2
 
 __all__ = [
     "FreeModel",
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 # Window predicate for velocity projections: a half open interval [lo, hi)
-# or an arbitrary boolean function of the velocity.
+# or an elementwise boolean function of a velocity array.
 VelocityWindow = Callable[[np.ndarray], np.ndarray] | tuple[float, float]
 
 
@@ -62,11 +62,6 @@ class FreeModel:
 
     @property
     def a(self) -> float:
-        return self.coin.a
-
-    @property
-    def velocity_bound(self) -> float:
-        """sup_k |v_j(k)|, equal to the diagonal coin modulus a."""
         return self.coin.a
 
     def _phi(self, k: np.ndarray) -> np.ndarray:
@@ -215,8 +210,7 @@ def _fourier_window(
     the (size, 2) FFT.  The site cap is checked before anything is
     allocated.
     """
-    if size > MAX_WINDOW:
-        raise ResourceLimitError(f"{what} window of {size} sites exceeds {MAX_WINDOW}")
+    _check_window(size, what)
     n = state.hi - state.lo
     x0 = state.lo - (size - n) // 2
     buf = np.zeros((size, 2), dtype=complex)
@@ -225,30 +219,22 @@ def _fourier_window(
     return x0, k, np.fft.fft(buf, axis=0)
 
 
-def _window_mask(window: VelocityWindow, v: np.ndarray) -> np.ndarray:
-    if callable(window):
-        return np.asarray(window(v), dtype=bool)
-    lo, hi = window
-    return (v >= lo) & (v < hi)
-
-
 def velocity_projection(
     state: LatticeState,
     model: FreeModel,
     window: VelocityWindow,
     *,
-    branches: Sequence[int] = (0, 1),
     dft_size: int | None = None,
 ) -> LatticeState:
     """Spectral projection chi_B(V) onto a window of group velocities.
 
-    The projector multiplies each branch amplitude by the indicator of
-    ``window`` (a half open (lo, hi) pair or a boolean predicate) in the
-    Fourier picture, on a grid padded by 256 sites on each side and
-    rounded up to a power of two.  The result keeps the padded window;
-    pass the same explicit ``dft_size`` when checking algebraic
-    identities between repeated projections, since re-gridding truncated
-    output folds in O(1/N) wrap-around error.
+    The projector multiplies the amplitudes of both branches by the
+    indicator of ``window`` (a half open (lo, hi) pair or an elementwise
+    boolean predicate) in the Fourier picture, on a grid padded by 256
+    sites on each side and rounded up to a power of two.  The result
+    keeps the padded window; pass the same explicit ``dft_size`` when
+    checking algebraic identities between repeated projections, since
+    re-gridding truncated output folds in O(1/N) wrap-around error.
     """
     n = state.hi - state.lo
     size = dft_size if dft_size is not None else _next_pow2(n + 512)
@@ -257,11 +243,10 @@ def velocity_projection(
     x0, k, psi_hat = _fourier_window(state, size, "projection")
     _, vec = model.eigensystem(k)
     v = model.velocity(k)
-    mask = np.zeros((size, 2), dtype=bool)
-    for j in branches:
-        if j not in (0, 1):
-            raise DomainError(f"branch must be 0 or 1, got {j}")
-        mask[:, j] = _window_mask(window, v[:, j])
+    if callable(window):
+        mask = np.asarray(window(v), dtype=bool)
+    else:
+        mask = (v >= window[0]) & (v < window[1])
     out_hat = from_branches(vec, mask * to_branches(vec, psi_hat))
     return LatticeState(x0, np.fft.ifft(out_hat, axis=0))
 

@@ -41,8 +41,8 @@ from typing import Iterable
 import numpy as np
 
 from .coin import CoinField
-from .errors import ConvergenceError, DomainError, ResourceLimitError
-from .lattice import MAX_WINDOW, Evolution, LatticeState, _next_pow2, evolve
+from .errors import ConvergenceError, DomainError
+from .lattice import Evolution, LatticeState, _check_window, _next_pow2, evolve
 from .momentum import FreeModel, _fourier_window, from_branches, to_branches
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "free_evolve",
     "wave_forward",
     "outgoing_pair",
-    "outgoing_state",
     "intertwining_residual",
 ]
 
@@ -163,8 +162,6 @@ def wave_forward(
     pair: PairState,
     field: CoinField,
     schedule: Schedule | None = None,
-    *,
-    require_convergence: bool = False,
 ) -> tuple[LatticeState, ConvergenceReport]:
     """Iterated limit of U^{-n} J U_0^n on a pair of free states.
 
@@ -178,7 +175,6 @@ def wave_forward(
     prev: LatticeState | None = None
     cps: list[int] = []
     incs: list[float] = []
-    converged = False
     for n in sched.checkpoints():
         sides = []
         for st, model in zip((pair.left, pair.right), models):
@@ -187,19 +183,13 @@ def wave_forward(
         phi = evolve(joined, field, n, inverse=True)
         cps.append(n)
         if prev is not None:
-            inc = (phi - prev).norm()
-            incs.append(inc)
-            prev = phi
-            if inc <= sched.tol:
-                converged = True
-                break
-        else:
-            prev = phi
-    report = ConvergenceReport(cps, incs, sched.tol, converged)
-    if require_convergence:
-        report.require()
+            incs.append((phi - prev).norm())
+        prev = phi
+        if incs and incs[-1] <= sched.tol:
+            break
     assert prev is not None
-    return prev.trimmed(1e-15), report
+    converged = bool(incs) and incs[-1] <= sched.tol
+    return prev.trimmed(1e-15), ConvergenceReport(cps, incs, sched.tol, converged)
 
 
 class _SideAccumulator:
@@ -258,10 +248,7 @@ def _tail_averaged_outgoing(
     support = state.hi - state.lo
     n_max = sched.n_max
     size = _next_pow2(support + 4 * n_max + 256)
-    if size > MAX_WINDOW:
-        raise ResourceLimitError(
-            f"outgoing-state window of {size} sites exceeds {MAX_WINDOW}; lower n_max"
-        )
+    _check_window(size, "outgoing-state")
     x0 = state.lo - 2 * n_max - 128
     k = 2.0 * math.pi * np.arange(size) / size
     accs = {s: _SideAccumulator(free_model(field, s), k, sched.tol) for s in sides}
@@ -304,31 +291,11 @@ def outgoing_pair(
     sched = schedule or Schedule()
     sides = [s for s in ("left", "right") if field.asymptotic(s).a > 0.0]
     results = _tail_averaged_outgoing(state, field, sched, sides) if sides else {}
-    out: dict[str, LatticeState] = {}
-    reports: dict[str, ConvergenceReport] = {}
     for s in ("left", "right"):
-        if s in results:
-            out[s], reports[s] = results[s]
-        else:
-            out[s] = LatticeState.zero(0, 1)
-            reports[s] = ConvergenceReport([], [], sched.tol, True)
-    return PairState(out["left"], out["right"]), reports
-
-
-def outgoing_state(
-    state: LatticeState,
-    field: CoinField,
-    side: str,
-    schedule: Schedule | None = None,
-) -> tuple[LatticeState, ConvergenceReport]:
-    """Tail-averaged outgoing state of one side."""
-    if side not in ("left", "right"):
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    if field.asymptotic(side).a == 0.0:
-        raise DomainError(f"the {side} asymptotic walk has no propagating modes (a = 0)")
-    sched = schedule or Schedule()
-    results = _tail_averaged_outgoing(state, field, sched, [side])
-    return results[side]
+        if s not in results:
+            results[s] = (LatticeState.zero(0, 1), ConvergenceReport([], [], sched.tol, True))
+    pair = PairState(results["left"][0], results["right"][0])
+    return pair, {s: results[s][1] for s in ("left", "right")}
 
 
 def intertwining_residual(

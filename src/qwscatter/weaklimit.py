@@ -29,7 +29,7 @@ import numpy as np
 
 from .coin import CoinField
 from .errors import ConvergenceError, DomainError
-from .konno import VelocityGrid, apply_K, konno_density, velocity_grid
+from .konno import VelocityGrid, apply_K, gauss_legendre, konno_density, velocity_grid
 from .lattice import Evolution, LatticeState, evolve
 from .momentum import FreeModel, velocity_projection
 from .scattering import PairState, Schedule, outgoing_pair
@@ -37,6 +37,7 @@ from .scattering import PairState, Schedule, outgoing_pair
 __all__ = [
     "VelocityDensitySamples",
     "LimitDistribution",
+    "MASS_TOL",
     "limit_distribution",
     "total_mass",
     "cdf",
@@ -47,6 +48,10 @@ __all__ = [
 ]
 
 _ATOM_EPS = 1e-12
+
+# Largest admitted gap between a side's density mass and the norm of its
+# projected outgoing state, and overshoot of the captured mass over 1.
+MASS_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -99,18 +104,21 @@ def limit_distribution(
     schedule: Schedule | None = None,
     *,
     grid_points: int = 513,
-    mass_tol: float = 1e-3,
 ) -> LimitDistribution:
     """Compute the full weak limit of a normalized state.
+
+    One ``grid_points``-point Gauss-Legendre rule serves the grids of
+    both a.c. sides.
 
     Raises
     ------
     ConvergenceError
         If a side's density mass disagrees with the norm of its
-        projected outgoing state by more than ``mass_tol``, or if the
-        captured mass exceeds 1 by more than ``mass_tol``.
+        projected outgoing state by more than ``MASS_TOL``, or if the
+        captured mass exceeds 1 by more than ``MASS_TOL``.
     """
     _require_normalized(state)
+    rule = gauss_legendre(grid_points)
     pair, conv_reports = outgoing_pair(state, field_, schedule)
     reports: dict[str, Any] = {
         "outgoing": pair,
@@ -137,7 +145,7 @@ def limit_distribution(
         window = (lambda v: v < 0.0) if side == "left" else (lambda v: v > 0.0)
         proj = velocity_projection(phi, model, window).trimmed(1e-15)
         pnorm = proj.norm_sq()
-        grid = velocity_grid(model, grid_points, "neg" if side == "left" else "pos")
+        grid = velocity_grid(model, rule, "neg" if side == "left" else "pos")
         w = np.zeros(grid.v.shape, dtype=float)
         for branch in (0, 1):
             for m in (0, 1):
@@ -145,16 +153,16 @@ def limit_distribution(
         qmass = float(np.sum(grid.weight * w))
         reports[f"projected_norm_sq_{side}"] = pnorm
         reports[f"density_mass_{side}"] = qmass
-        if abs(qmass - pnorm) > mass_tol:
+        if abs(qmass - pnorm) > MASS_TOL:
             raise ConvergenceError(
                 f"{side} density mass {qmass:.6f} disagrees with the projected "
-                f"outgoing norm {pnorm:.6f} beyond {mass_tol:g}"
+                f"outgoing norm {pnorm:.6f} beyond {MASS_TOL:g}"
             )
         samples[side] = VelocityDensitySamples(grid, w)
         captured += qmass
     kappa0 = 1.0 - captured
-    if kappa0 < -mass_tol:
-        raise ConvergenceError(f"captured mass {captured:.6f} exceeds the total by more than {mass_tol:g}")
+    if kappa0 < -MASS_TOL:
+        raise ConvergenceError(f"captured mass {captured:.6f} exceeds the total by more than {MASS_TOL:g}")
     return LimitDistribution(
         atom_left=atom["left"],
         atom_origin=max(kappa0, 0.0),
@@ -233,26 +241,13 @@ def pure_point_mass(
     ``outgoing`` pair to reuse a scattering pass.
     """
     _require_normalized(state)
+    if horizon < 2:
+        raise DomainError("horizon must be at least 2")
+    if radius < 0:
+        raise DomainError(f"radius must be >= 0, got {radius}")
     if outgoing is None:
         outgoing, _ = outgoing_pair(state, field_, schedule)
     deficit = 1.0 - outgoing.norm_sq()
-    stay = _localized_time_average(state, field_, horizon, radius)
-    if abs(deficit - stay) > gate:
-        raise ConvergenceError(
-            f"bound-state mass estimates disagree: norm deficit {deficit:.4f} "
-            f"vs localized time average {stay:.4f} (gate {gate:g})"
-        )
-    return min(max(deficit, 0.0), 1.0)
-
-
-def _localized_time_average(
-    state: LatticeState,
-    field_: CoinField,
-    horizon: int,
-    radius: int,
-) -> float:
-    if horizon < 2:
-        raise DomainError("horizon must be at least 2")
     ev = Evolution(state, field_, horizon)
     start = horizon // 2
     acc = 0.0
@@ -260,7 +255,13 @@ def _localized_time_average(
         ev.step()
         if n > start:
             acc += ev.localized_mass(radius)
-    return acc / (horizon - start)
+    stay = acc / (horizon - start)
+    if abs(deficit - stay) > gate:
+        raise ConvergenceError(
+            f"bound-state mass estimates disagree: norm deficit {deficit:.4f} "
+            f"vs localized time average {stay:.4f} (gate {gate:g})"
+        )
+    return min(max(deficit, 0.0), 1.0)
 
 
 def compare_empirical(
@@ -270,15 +271,14 @@ def compare_empirical(
     ns: Iterable[int],
     *,
     xi: Sequence[float] = (1.0, 2.0, 5.0),
-    v_grid: np.ndarray | None = None,
     guard: float = 0.02,
 ) -> list[dict[str, Any]]:
     """Finite-time laws of X_n / n against the limit, one record per n.
 
-    The Kolmogorov distance is evaluated on ``v_grid`` (default: 401
-    uniform points on [-1, 1]) with bands of half-width ``guard``
-    around present atoms excluded, since the empirical law approaches a
-    jump only at rate 1/n there.  Records carry the Kolmogorov
+    The Kolmogorov distance is evaluated on 401 uniform points of
+    [-1, 1], with bands of half-width ``guard`` around present atoms
+    excluded, since the empirical law approaches a jump only at rate
+    1/n there.  Records carry the Kolmogorov
     statistic, characteristic function errors at each ``xi`` and the
     first two moment errors.
     """
@@ -286,7 +286,7 @@ def compare_empirical(
         raise DomainError(f"guard must be finite and >= 0, got {guard}")
     if not np.isfinite(np.asarray(xi, dtype=float)).all():
         raise DomainError(f"characteristic function arguments must be finite, got {tuple(xi)}")
-    grid = np.linspace(-1.0, 1.0, 401) if v_grid is None else np.asarray(v_grid, dtype=float)
+    grid = np.linspace(-1.0, 1.0, 401)
     keep = np.ones(grid.shape, dtype=bool)
     for pos, _ in dist.atoms():
         keep &= np.abs(grid - pos) > guard

@@ -27,6 +27,7 @@ from qwscatter import (
     compose_K_adjoint,
     evolve,
     free_model,
+    gauss_legendre,
     hadamard_coin,
     k_interval,
     k_map,
@@ -147,7 +148,7 @@ def test_velocity_translator_relations():
     w_complete = 0.0
     for _ in range(20):
         model = FreeModel(_random_coin(rng))
-        grid = velocity_grid(model, 129)
+        grid = velocity_grid(model, gauss_legendre(129))
         amp = rng.standard_normal((17, 2)) + 1j * rng.standard_normal((17, 2))
         psi = LatticeState.from_entries({x - 8: tuple(amp[x]) for x in range(17)}).normalized()
         captured = sum(
@@ -161,7 +162,7 @@ def test_velocity_translator_relations():
     w_match, w_cross = 0.0, 0.0
     for _ in range(20):
         model = FreeModel(_random_coin(rng))
-        grid = velocity_grid(model, 129)
+        grid = velocity_grid(model, gauss_legendre(129))
         g = np.exp(-((grid.v / (0.5 * model.a)) ** 2)) * np.exp(1.7j * grid.v)
         for j in (0, 1):
             for m in (0, 1):
@@ -185,7 +186,7 @@ def test_velocity_translator_relations():
         ) * (1.0 / SQRT2)
         window = (0.0, 2.0) if sign > 0 else (-2.0, 0.0)
         proj = velocity_projection(psi, model, window, dft_size=4096)
-        grid = velocity_grid(model, 257)
+        grid = velocity_grid(model, gauss_legendre(257))
         ind = ((grid.v >= window[0]) & (grid.v < window[1])).astype(float)
         for j in (0, 1):
             for m in (0, 1):

@@ -197,6 +197,36 @@ def test_missing_state_section_exits_2(tmp_path, capsys):
     expect_error(tmp_path, capsys, bad, "ConfigError", 2)
 
 
+MALFORMED = {
+    "duplicate_option": (HADAMARD_INI + "steps = 60\n", "out.csv"),
+    "duplicate_section": (HADAMARD_INI + "\n[state]\n1 = 1,0 0,0\n", "out.csv"),
+    "missing_section_header": ("steps = 50\n" + HADAMARD_INI, "out.csv"),
+    "line_without_delimiter": (HADAMARD_INI + "no delimiter here\n", "out.csv"),
+    "not_utf8": (HADAMARD_INI + "; caf\xe9\n", "out.csv"),
+    # radius = -1 fails only once the limit law is computed, so exit 2
+    # shows that the directory is checked first
+    "missing_output_directory": (HADAMARD_INI + "radius = -1\n", "missing/out.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    # each of these used to escape as a traceback with exit 1, the last
+    # one only after the whole computation had run
+    ini, name = MALFORMED[case]
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(ini.encode("latin-1"))
+    out = tmp_path / name
+    rc = main(["limit-dist", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert rc == 2
+    assert err["code"] == "ConfigError"
+    assert err["path"] == str(cfg)
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_non_unitary_coin_exits_3(tmp_path, capsys):
     bad = HADAMARD_INI.replace(f"matrix = {R},0 {R},0 {R},0 -{R},0", "matrix = 1,0 0,0 0,0 1.5,0")
     err = expect_error(tmp_path, capsys, bad, "DomainError", 3)
@@ -258,6 +288,14 @@ def test_infinite_tol_exits_3(tmp_path, capsys):
         tmp_path, capsys, HADAMARD_INI + "tol = inf\n", "DomainError", 3, command="limit-dist"
     )
     assert "tolerance" in err["message"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_negative_radius_exits_3(tmp_path, capsys):
+    # radius = -1 used to make the time-average cross-check vacuous (exit 0)
+    bad = HADAMARD_INI.replace("n_max = 256", "n_max = 128") + "radius = -1\n"
+    err = expect_error(tmp_path, capsys, bad, "DomainError", 3, command="limit-dist")
+    assert "radius" in err["message"]
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -10,15 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_coin
-from qwscatter import (
-    CoinField,
-    CoinMatrix,
-    DomainError,
-    TailRule,
-    hadamard_coin,
-    nearest_unitary,
-    wrap_angle,
-)
+from qwscatter import CoinField, CoinMatrix, DomainError, hadamard_coin, wrap_angle
+from qwscatter.coin import TailRule, nearest_unitary
 
 ANGLES = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -96,10 +89,8 @@ def test_constructor_rejects_bad_moduli():
 def test_degenerate_moduli_pin_phases():
     off = CoinMatrix(1e-18, 1.0, 0.4, 0.7, 1.1)
     assert off.a == 0.0 and off.b == 1.0 and off.alpha == 0.0
-    assert off.is_off_diagonal and not off.is_diagonal
     diag = CoinMatrix(1.0, 1e-18, 0.4, 0.7, 1.1)
     assert diag.a == 1.0 and diag.b == 0.0 and diag.beta == 0.0
-    assert diag.is_diagonal
 
 
 def test_nearest_unitary_projects_and_fixes_unitaries(rng):

@@ -19,11 +19,9 @@ from qwscatter import (
     FreeModel,
     LatticeState,
     apply_K,
-    apply_K_adjoint,
     compose_K_adjoint,
-    free_evolve,
+    gauss_legendre,
     hadamard_coin,
-    in_k_interval,
     k_interval,
     k_map,
     k_map_derivative,
@@ -31,7 +29,8 @@ from qwscatter import (
     velocity_grid,
     wrap_angle,
 )
-from qwscatter.konno import _gauss_legendre
+from qwscatter.konno import apply_K_adjoint, in_k_interval
+from qwscatter.scattering import free_evolve
 
 
 def test_density_value_at_zero_frozen():
@@ -66,14 +65,14 @@ def test_density_normalization_by_substitution(r):
 @pytest.mark.parametrize("r", [0.2, 1.0 / math.sqrt(2.0), 0.95])
 def test_second_moment_closed_form(r):
     # E[V^2] = 1 - sqrt(1 - r^2)
-    grid = velocity_grid(r, 513)
+    grid = velocity_grid(r, gauss_legendre(513))
     second = 2.0 * float(np.sum(grid.weight * grid.v**2))
     assert abs(second - (1.0 - math.sqrt(1.0 - r * r))) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 65, 129, 513, 2049])
 def test_gauss_legendre_rule(n):
-    x, w = _gauss_legendre(n)
+    x, w = gauss_legendre(n)
     ref_x, _ = np.polynomial.legendre.leggauss(n)
     # leggauss's weights are not compared: near the endpoints they are
     # off by 7e-8 relative at n = 2049 (an mpmath check puts the Newton
@@ -87,7 +86,7 @@ def test_gauss_legendre_rule(n):
 
 def test_velocity_grid_masses_and_ranges():
     for side, mass in (("full", 0.5), ("neg", 0.25), ("pos", 0.25)):
-        grid = velocity_grid(0.7, 257, side)
+        grid = velocity_grid(0.7, gauss_legendre(257), side)
         assert grid.mass == pytest.approx(mass, abs=1e-12)
         assert np.all(grid.weight > 0.0)
         assert np.all(np.abs(grid.v) < 0.7)
@@ -97,9 +96,12 @@ def test_velocity_grid_masses_and_ranges():
             assert np.all(grid.v > 0.0)
         assert grid.integrate(np.ones_like(grid.v)) == pytest.approx(mass, abs=1e-12)
     with pytest.raises(DomainError):
-        velocity_grid(0.0)
+        velocity_grid(0.0, gauss_legendre(3))
     with pytest.raises(DomainError):
-        velocity_grid(0.5, side="both")
+        velocity_grid(0.5, gauss_legendre(3), side="both")
+    for points in (1, 0, -5):
+        with pytest.raises(DomainError):
+            gauss_legendre(points)
 
 
 def test_k_intervals_tile_the_circle(rng):
@@ -115,7 +117,7 @@ def test_k_intervals_tile_the_circle(rng):
 def test_k_map_lands_in_its_interval(rng):
     for _ in range(5):
         model = FreeModel(random_coin(rng))
-        grid = velocity_grid(model, 65)
+        grid = velocity_grid(model, gauss_legendre(65))
         for j in (0, 1):
             for m in (0, 1):
                 k = k_map(model, j, m, grid.v)
@@ -126,7 +128,7 @@ def test_k_map_lands_in_its_interval(rng):
 def test_k_map_inverts_the_velocity(rng):
     for _ in range(5):
         model = FreeModel(random_coin(rng))
-        grid = velocity_grid(model, 129)
+        grid = velocity_grid(model, gauss_legendre(129))
         for j in (0, 1):
             for m in (0, 1):
                 k = k_map(model, j, m, grid.v)
@@ -184,7 +186,7 @@ def test_apply_K_adjoint_pairing_is_exact(rng):
     # the quadrature adjoint pairs exactly against states supported in
     # the window, whatever the grid resolution
     model = FreeModel(random_coin(rng, a_range=(0.2, 0.9)))
-    grid = velocity_grid(model, 97)
+    grid = velocity_grid(model, gauss_legendre(97))
     psi = random_state(rng, -9, 10)
     g = rng.standard_normal(grid.v.shape) + 1j * rng.standard_normal(grid.v.shape)
     for j in (0, 1):
@@ -201,7 +203,7 @@ def test_adjoint_window_round_trip_converges_slowly():
     model = FreeModel(hadamard_coin())
     errs = []
     for pts, half in ((2049, 240), (8193, 960)):
-        grid = velocity_grid(model, pts)
+        grid = velocity_grid(model, gauss_legendre(pts))
         g = np.exp(-((grid.v / 0.3) ** 2)) * (1.0 + 0.5j * grid.v)
         st = apply_K_adjoint(g, model, 0, 0, grid, (-half, half))
         back = apply_K(st, model, 0, 0, grid)
@@ -213,7 +215,7 @@ def test_adjoint_window_round_trip_converges_slowly():
 def test_translators_preserve_the_norm(rng):
     for _ in range(10):
         model = FreeModel(random_coin(rng, a_range=(0.1, 0.9)))
-        grid = velocity_grid(model, 129)
+        grid = velocity_grid(model, gauss_legendre(129))
         psi = random_state(rng, -12, 13)
         total = sum(
             grid.norm_sq(apply_K(psi, model, j, m, grid)) for j in (0, 1) for m in (0, 1)
@@ -230,7 +232,7 @@ def test_translators_preserve_the_norm_at_bench_sizes(rng):
     psi = LatticeState(-3000, amp / np.linalg.norm(amp))
     for a in (0.8, 0.6):
         model = FreeModel(CoinMatrix(a, math.sqrt(1.0 - a * a), 0.0, 0.0, math.pi))
-        grid = velocity_grid(model, 2049)
+        grid = velocity_grid(model, gauss_legendre(2049))
         total = sum(
             grid.norm_sq(apply_K(psi, model, j, m, grid)) for j in (0, 1) for m in (0, 1)
         )
@@ -240,7 +242,7 @@ def test_translators_preserve_the_norm_at_bench_sizes(rng):
 def test_translators_diagonalize_the_free_step(rng):
     model = FreeModel(random_coin(rng, a_range=(0.2, 0.9)))
     fld_coin = model.coin
-    grid = velocity_grid(model, 129)
+    grid = velocity_grid(model, gauss_legendre(129))
     psi = random_state(rng, -6, 7)
     stepped = free_evolve(psi, model, 1)
     for j in (0, 1):
@@ -254,7 +256,7 @@ def test_translators_diagonalize_the_free_step(rng):
 
 def test_composition_reproduces_matching_indices(rng):
     model = FreeModel(random_coin(rng, a_range=(0.2, 0.9)))
-    grid = velocity_grid(model, 129)
+    grid = velocity_grid(model, gauss_legendre(129))
     g = np.exp(-((grid.v / 0.2) ** 2)) * (1.0 + 2.0j * grid.v)  # asymmetric on purpose
     for j in (0, 1):
         for m in (0, 1):
@@ -264,7 +266,7 @@ def test_composition_reproduces_matching_indices(rng):
 
 def test_composition_annihilates_mismatched_indices(rng):
     model = FreeModel(random_coin(rng, a_range=(0.2, 0.9)))
-    grid = velocity_grid(model, 129)
+    grid = velocity_grid(model, gauss_legendre(129))
     g = np.exp(-((grid.v / 0.2) ** 2)) * (1.0 + 2.0j * grid.v)
     pairs = [(j, m) for j in (0, 1) for m in (0, 1)]
     for jo, mo in pairs:
@@ -277,7 +279,7 @@ def test_composition_annihilates_mismatched_indices(rng):
 
 def test_composition_validates_inputs(rng):
     model = FreeModel(hadamard_coin())
-    grid_pos = velocity_grid(model, 65, "pos")
+    grid_pos = velocity_grid(model, gauss_legendre(65), "pos")
     g = np.ones_like(grid_pos.v)
     with pytest.raises(DomainError):
         compose_K_adjoint(model, 0, 0, 1, 0, g, grid_pos)  # cross branch needs full

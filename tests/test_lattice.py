@@ -14,13 +14,12 @@ from qwscatter import (
     CoinField,
     CoinMatrix,
     DomainError,
-    Evolution,
     LatticeState,
     ResourceLimitError,
     evolve,
-    fourier_at,
     hadamard_coin,
 )
+from qwscatter.lattice import Evolution, fourier_at, fourier_at_adjoint
 
 
 def test_point_state_and_entries():
@@ -181,17 +180,22 @@ def direct_sum(state, k):
     return phases @ state.amp
 
 
+def nufft_momenta(rng, length):
+    """Random momenta, the special points and points of the NUFFT's fine grid."""
+    fine = max(1 << (2 * length - 1).bit_length(), 32)
+    return np.concatenate(
+        [
+            rng.uniform(-4.0 * np.pi, 4.0 * np.pi, 64),
+            [0.0, np.pi, -np.pi, 2.0 * np.pi, 4.0 * np.pi, -4.0 * np.pi],
+            2.0 * np.pi * np.array([1, 2, fine // 3, fine - 1, -1, -fine // 2]) / fine,
+        ]
+    )
+
+
 def test_fourier_at_matches_direct_sum(rng):
     for length in (1, 2, 17, 1024, 4097, 16384):
         amp = rng.standard_normal((length, 2)) + 1j * rng.standard_normal((length, 2))
-        fine = max(1 << (2 * length - 1).bit_length(), 32)  # the NUFFT's fine grid
-        ks = np.concatenate(
-            [
-                rng.uniform(-4.0 * np.pi, 4.0 * np.pi, 64),
-                [0.0, np.pi, -np.pi, 2.0 * np.pi, 4.0 * np.pi, -4.0 * np.pi],
-                2.0 * np.pi * np.array([1, 2, fine // 3, fine - 1, -1, -fine // 2]) / fine,
-            ]
-        )
+        ks = nufft_momenta(rng, length)
         for lo in (0, -(length // 2), -(1 << 15) + 5):
             s = LatticeState(lo, amp)
             hat = fourier_at(s, ks)
@@ -201,6 +205,43 @@ def test_fourier_at_matches_direct_sum(rng):
     hat = fourier_at(s, 0.3)  # a scalar momentum
     assert hat.shape == (1, 2)
     assert np.max(np.abs(hat - direct_sum(s, 0.3))) <= 1e-12 * np.abs(amp).sum()
+
+
+def direct_adjoint_sum(values, k, lo, hi):
+    """Frozen oracle for fourier_at_adjoint: sum_i exp(i k_i x) values_i term by term.
+
+    The plane waves are summed directly, with the same exact phase split
+    as :func:`direct_sum`.
+    """
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    khi = np.round(k * 2.0**20) * 2.0**-20
+    x = np.arange(lo, hi)
+    phases = np.exp(1j * np.outer(x, khi)) * np.exp(1j * np.outer(x, k - khi))
+    return phases @ values
+
+
+def test_fourier_at_adjoint_matches_direct_sum(rng):
+    # The kernel distances k - m h round to about 1e-16 |k|, and the
+    # deconvolution amplifies that toward the window edges; fourier_at
+    # shares the error.  At 16384 sites it is 2.6e-12 * sum |values|
+    # here, so that window gets 5e-12.
+    for length, tol in ((1, 1e-12), (2, 1e-12), (17, 1e-12), (1024, 1e-12), (4097, 1e-12), (16384, 5e-12)):
+        ks = nufft_momenta(rng, length)
+        values = rng.standard_normal((ks.size, 2)) + 1j * rng.standard_normal((ks.size, 2))
+        for lo in (0, -(length // 2), -(1 << 15) + 5):
+            st = fourier_at_adjoint(values, ks, lo, lo + length)
+            assert (st.lo, st.hi) == (lo, lo + length)
+            err = np.max(np.abs(st.amp - direct_adjoint_sum(values, ks, lo, lo + length)))
+            assert err <= tol * np.abs(values).sum(), (length, lo, err)
+            # the literal adjoint: <A* g, psi> = <g, A psi> to roundoff
+            psi = LatticeState(lo, rng.standard_normal((length, 2)) + 1j * rng.standard_normal((length, 2)))
+            lhs = st.inner(psi)
+            rhs = np.sum(values.conj() * fourier_at(psi, ks))
+            assert abs(lhs - rhs) <= 1e-13 * np.abs(values).sum() * np.abs(psi.amp).sum()
+    with pytest.raises(DomainError):
+        fourier_at_adjoint(values, ks, 3, 3)
+    with pytest.raises(ResourceLimitError):
+        fourier_at_adjoint(values, ks, 0, (1 << 20) + 1)
 
 
 def test_position_distribution_and_localized_mass(rng):

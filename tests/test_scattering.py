@@ -11,27 +11,28 @@ from conftest import random_coin, random_state, two_phase_field
 from qwscatter import (
     CoinField,
     ConvergenceError,
-    ConvergenceReport,
     DomainError,
-    Evolution,
     FreeModel,
     LatticeState,
     PairState,
     ResourceLimitError,
     Schedule,
-    apply_J,
-    apply_J_adjoint,
     branch_packet,
     evolve,
-    free_evolve,
     free_model,
     hadamard_coin,
-    intertwining_residual,
-    outgoing_pair,
-    outgoing_state,
-    propagating_part,
     velocity_projection,
     wave_forward,
+)
+from qwscatter.lattice import Evolution
+from qwscatter.scattering import (
+    ConvergenceReport,
+    apply_J,
+    apply_J_adjoint,
+    free_evolve,
+    intertwining_residual,
+    outgoing_pair,
+    propagating_part,
 )
 
 
@@ -250,25 +251,9 @@ def test_outgoing_pair_matches_spinor_accumulation(one_defect_field):
         assert np.allclose(reports[side].increments, incs[side], rtol=1e-12, atol=0.0)
 
 
-def test_outgoing_pair_and_single_side_agree():
-    coin = hadamard_coin()
-    fld = CoinField(left=coin, right=coin)
-    model = FreeModel(coin)
-    psi = moving_packet(model, -1.0, 0)
-    sched = Schedule(n_max=128, tol=1e-7)
-    pair, _ = outgoing_pair(psi, fld, sched)
-    solo, report = outgoing_state(psi, fld, "left", sched)
-    assert (pair.left - solo).norm() < 1e-12
-    assert report.checkpoints == sorted(report.checkpoints)
-
-
-def test_outgoing_state_rejects_reflecting_side(rng):
+def test_outgoing_pair_zeroes_reflecting_side(rng):
     fld = CoinField(left=reflecting_coin(), right=hadamard_coin())
     psi = random_state(rng)
-    with pytest.raises(DomainError):
-        outgoing_state(psi, fld, "left")
-    with pytest.raises(DomainError):
-        outgoing_state(psi, fld, "middle")
     pair, reports = outgoing_pair(psi, fld, Schedule(n_max=64, tol=1e-3))
     assert pair.left.norm() == 0.0
     assert reports["left"].checkpoints == []

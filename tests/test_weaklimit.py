@@ -5,24 +5,27 @@ import math
 import numpy as np
 import pytest
 
+from conftest import two_phase_field
 from qwscatter import (
     CoinField,
     CoinMatrix,
     ConvergenceError,
     DomainError,
+    FreeModel,
     LatticeState,
     Schedule,
-    cdf,
-    cf_limit,
     compare_empirical,
     evolve,
+    gauss_legendre,
     hadamard_coin,
     konno_density,
     limit_distribution,
-    moment,
     pure_point_mass,
     total_mass,
+    velocity_grid,
 )
+from qwscatter import weaklimit
+from qwscatter.weaklimit import cdf, cf_limit, moment
 
 SQRT2 = math.sqrt(2.0)
 # E[V] = -(1 - 1/sqrt(2)) and E[V^2] = 1 - 1/sqrt(2) for the Hadamard
@@ -138,6 +141,41 @@ def test_pure_point_mass_gate_trips_on_short_horizon(had_field):
     psi = LatticeState.point(0, (1.0, 0.0))
     with pytest.raises(ConvergenceError):
         pure_point_mass(psi, had_field, Schedule(n_max=256), horizon=100, radius=64)
+
+
+def test_pure_point_mass_rejects_negative_radius(had_field):
+    # a negative radius used to make the time average 0 and the
+    # cross-check vacuous
+    psi = LatticeState.point(0, (1.0, 0.0))
+    with pytest.raises(DomainError, match="radius"):
+        pure_point_mass(psi, had_field, Schedule(n_max=64), horizon=100, radius=-1)
+    with pytest.raises(DomainError, match="horizon"):
+        pure_point_mass(psi, had_field, Schedule(n_max=64), horizon=1, radius=4)
+
+
+def test_limit_distribution_builds_one_gauss_rule(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return gauss_legendre(n)
+
+    monkeypatch.setattr(weaklimit, "gauss_legendre", counting)
+    psi = LatticeState.point(0, (1.0 / SQRT2, 1j / SQRT2))
+    dist = limit_distribution(psi, two_phase_field(0.8, 0.6), Schedule(n_max=64), grid_points=65)
+    assert dist.left is not None and dist.right is not None
+    assert calls == [65]
+
+
+def test_limit_distribution_grids_match_separate_grids():
+    fld = two_phase_field(0.8, 0.6)
+    psi = LatticeState.point(0, (1.0 / SQRT2, 1j / SQRT2))
+    dist = limit_distribution(psi, fld, Schedule(n_max=64), grid_points=65)
+    for samples, coin, side in ((dist.left, fld.left, "neg"), (dist.right, fld.right, "pos")):
+        want = velocity_grid(FreeModel(coin), gauss_legendre(65), side)
+        for name in ("theta", "v", "weight"):
+            assert getattr(samples.grid, name).tobytes() == getattr(want, name).tobytes()
+        assert samples.grid.side == side and samples.grid.r == coin.a
 
 
 def test_rejects_unnormalized_state(had_field):
