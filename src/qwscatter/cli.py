@@ -53,11 +53,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import json
 import os
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Container, Iterator, Sequence
 
 import numpy as np
 
@@ -67,6 +68,9 @@ from .lattice import LatticeState, evolve
 from .momentum import spectrum_arcs
 from .scattering import Schedule, free_model, outgoing_pair
 from .weaklimit import (
+    LimitDistribution,
+    _check_compare_args,
+    _check_point_mass_args,
     cf_limit,
     compare_empirical,
     limit_distribution,
@@ -112,19 +116,37 @@ def _parse_complex(token: str, where: str) -> complex:
     raise ConfigError(f"{where}: cannot parse complex entry {token!r} (expected 're,im')")
 
 
+def _parse_entries(text: str, count: int, what: str, where: str) -> list[complex]:
+    tokens = text.split()
+    if len(tokens) != count:
+        raise ConfigError(f"{where}: {what} needs {count} entries, got {len(tokens)}")
+    return [_parse_complex(t, where) for t in tokens]
+
+
 def _parse_matrix(text: str, where: str) -> np.ndarray:
-    tokens = text.split()
-    if len(tokens) != 4:
-        raise ConfigError(f"{where}: matrix needs 4 row-major entries, got {len(tokens)}")
-    vals = [_parse_complex(t, where) for t in tokens]
-    return np.array(vals, dtype=complex).reshape(2, 2)
+    return np.array(_parse_entries(text, 4, "row-major matrix", where), dtype=complex).reshape(2, 2)
 
 
-def _parse_spinor(text: str, where: str) -> tuple[complex, complex]:
-    tokens = text.split()
-    if len(tokens) != 2:
-        raise ConfigError(f"{where}: spinor needs 2 entries, got {len(tokens)}")
-    return _parse_complex(tokens[0], where), _parse_complex(tokens[1], where)
+@contextlib.contextmanager
+def _section_errors(section: str) -> Iterator[None]:
+    """Prefix ``[section]`` to its DomainErrors; an unparseable value is a ConfigError."""
+    try:
+        yield
+    except DomainError as exc:
+        raise DomainError(f"[{section}]: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"[{section}]: bad numeric value ({exc})") from exc
+
+
+def _site_index(text: str, where: str, seen: Container[int]) -> int:
+    """Parse a site index, rejecting a site that ``seen`` already holds."""
+    try:
+        site = int(text)
+    except ValueError:
+        raise ConfigError(f"{where}: site index must be an integer") from None
+    if site in seen:
+        raise ConfigError(f"{where}: site {site} is given more than once")
+    return site
 
 
 def _coin_from_section(cp: configparser.ConfigParser, section: str) -> CoinMatrix:
@@ -132,7 +154,7 @@ def _coin_from_section(cp: configparser.ConfigParser, section: str) -> CoinMatri
     unknown = keys - _COIN_KEYS
     if unknown:
         raise ConfigError(f"[{section}]: unknown keys {sorted(unknown)}")
-    try:
+    with _section_errors(section):
         if "matrix" in keys:
             if keys != {"matrix"}:
                 raise ConfigError(f"[{section}]: give either a matrix or parameters, not both")
@@ -142,23 +164,16 @@ def _coin_from_section(cp: configparser.ConfigParser, section: str) -> CoinMatri
         get = lambda k: cp[section].getfloat(k, 0.0)  # noqa: E731
         a = get("a")
         return CoinMatrix(a, float(np.sqrt(max(0.0, 1.0 - a * a))), get("alpha"), get("beta"), get("delta"))
-    except DomainError as exc:
-        # values parsed but describe an invalid coin: a domain problem
-        raise DomainError(f"[{section}]: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"[{section}]: bad numeric value ({exc})") from exc
 
 
-def _tail_from_section(cp: configparser.ConfigParser, section: str) -> TailRule:
+def _tail_from_section(cp: configparser.ConfigParser, section: str) -> TailRule | None:
+    if section not in cp:
+        return None
     keys = set(cp[section])
     if keys != {"kappa", "epsilon"}:
         raise ConfigError(f"[{section}]: needs exactly the keys kappa and epsilon")
-    try:
+    with _section_errors(section):
         return TailRule(cp[section].getfloat("kappa"), cp[section].getfloat("epsilon"))
-    except DomainError as exc:
-        raise DomainError(f"[{section}]: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"[{section}]: bad numeric value ({exc})") from exc
 
 
 def _load_config(path: str) -> configparser.ConfigParser:
@@ -185,31 +200,24 @@ def _load_field(cp: configparser.ConfigParser) -> CoinField:
     for section in cp.sections():
         if not section.startswith("coin.site."):
             continue
-        try:
-            site = int(section.removeprefix("coin.site."))
-        except ValueError:
-            raise ConfigError(f"[{section}]: site index must be an integer") from None
+        site = _site_index(section.removeprefix("coin.site."), f"[{section}]", overrides)
         keys = set(cp[section])
         if keys != {"matrix"}:
             raise ConfigError(f"[{section}]: site overrides take exactly one 'matrix' key")
         overrides[site] = _parse_matrix(cp[section]["matrix"], section)
-    tails = {}
-    for side in ("left", "right"):
-        name = f"coin.tail.{side}"
-        tails[side] = _tail_from_section(cp, name) if name in cp else None
     return CoinField(
         left=_coin_from_section(cp, "coin.left"),
         right=_coin_from_section(cp, "coin.right"),
         overrides=overrides,
-        tail_left=tails["left"],
-        tail_right=tails["right"],
+        tail_left=_tail_from_section(cp, "coin.tail.left"),
+        tail_right=_tail_from_section(cp, "coin.tail.right"),
     )
 
 
 def _load_state(cp: configparser.ConfigParser) -> LatticeState:
     if "state" not in cp:
         raise ConfigError("missing required section [state]")
-    entries: dict[int, tuple[complex, complex]] = {}
+    entries: dict[int, list[complex]] = {}
     normalize = True
     for key, value in cp["state"].items():
         if key == "normalize":
@@ -218,11 +226,8 @@ def _load_state(cp: configparser.ConfigParser) -> LatticeState:
             except ValueError:
                 raise ConfigError("[state]: normalize must be a boolean") from None
             continue
-        try:
-            site = int(key)
-        except ValueError:
-            raise ConfigError(f"[state]: unknown key {key!r} (expected site indices)") from None
-        entries[site] = _parse_spinor(value, f"state entry {key}")
+        site = _site_index(key, f"[state] key {key!r}", entries)
+        entries[site] = _parse_entries(value, 2, "spinor", f"state entry {key}")
     if not entries:
         raise ConfigError("[state]: needs at least one site entry")
     state = LatticeState.from_entries(entries)
@@ -234,34 +239,32 @@ def _load_state(cp: configparser.ConfigParser) -> LatticeState:
 
 
 def _run_options(cp: configparser.ConfigParser) -> dict[str, Any]:
+    """The [run] values, typed as their defaults."""
     opts = dict(_RUN_DEFAULTS)
-    if "run" not in cp:
-        return opts
-    section = cp["run"]
+    section = cp["run"] if "run" in cp else {}
     unknown = set(section) - set(_RUN_DEFAULTS)
     if unknown:
         raise ConfigError(f"[run]: unknown keys {sorted(unknown)}")
-    try:
-        for key in ("steps", "n_max", "first", "grid_points", "horizon", "radius"):
-            if key in section:
-                opts[key] = section.getint(key)
-        for key in ("tol", "guard"):
-            if key in section:
-                opts[key] = section.getfloat(key)
-        if "ns" in section:
-            opts["ns"] = tuple(int(t) for t in section["ns"].replace(",", " ").split())
-        if "xi" in section:
-            opts["xi"] = tuple(float(t) for t in section["xi"].replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"[run]: bad numeric value ({exc})") from exc
+    with _section_errors("run"):
+        for key, default in _RUN_DEFAULTS.items():
+            if key not in section:
+                continue
+            if isinstance(default, tuple):
+                kind = type(default[0])
+                opts[key] = tuple(kind(t) for t in section[key].replace(",", " ").split())
+            else:
+                opts[key] = type(default)(section[key])
     return opts
 
 
 def _schedule(opts: dict[str, Any]) -> Schedule:
-    try:
+    with _section_errors("run"):
         return Schedule(n_max=opts["n_max"], tol=opts["tol"], first=opts["first"])
-    except DomainError as exc:
-        raise DomainError(f"[run]: {exc}") from exc
+
+
+def _load_run(cp: configparser.ConfigParser) -> tuple[CoinField, LatticeState, dict[str, Any]]:
+    """Field, state and run options, read in that order."""
+    return _load_field(cp), _load_state(cp), _run_options(cp)
 
 
 # -- subcommands -------------------------------------------------------
@@ -274,11 +277,19 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) 
         writer.writerows(rows)
 
 
+def _evolved(cp: configparser.ConfigParser) -> LatticeState:
+    """The state after the [run] steps, the artefact of simulate and density."""
+    field, state, opts = _load_run(cp)
+    return evolve(state, field, opts["steps"]).trimmed(0.0)
+
+
+def _limit_law(field: CoinField, state: LatticeState, opts: dict[str, Any]) -> LimitDistribution:
+    """The limit law of the run, shared by limit-dist and compare."""
+    return limit_distribution(state, field, _schedule(opts), grid_points=opts["grid_points"])
+
+
 def _cmd_simulate(cp: configparser.ConfigParser, out: str) -> None:
-    field = _load_field(cp)
-    state = _load_state(cp)
-    opts = _run_options(cp)
-    final = evolve(state, field, opts["steps"]).trimmed(0.0)
+    final = _evolved(cp)
     rows = [
         [x, _fmt(a[0].real), _fmt(a[0].imag), _fmt(a[1].real), _fmt(a[1].imag), _fmt(abs(a[0]) ** 2 + abs(a[1]) ** 2)]
         for x, a in zip(final.sites, final.amp)
@@ -287,11 +298,7 @@ def _cmd_simulate(cp: configparser.ConfigParser, out: str) -> None:
 
 
 def _cmd_density(cp: configparser.ConfigParser, out: str) -> None:
-    field = _load_field(cp)
-    state = _load_state(cp)
-    opts = _run_options(cp)
-    final = evolve(state, field, opts["steps"]).trimmed(0.0)
-    xs, probs = final.position_distribution()
+    xs, probs = _evolved(cp).position_distribution()
     _write_csv(out, ["x", "prob"], [[x, _fmt(p)] for x, p in zip(xs, probs)])
 
 
@@ -303,17 +310,14 @@ def _cmd_spectrum(cp: configparser.ConfigParser, out: str) -> None:
         for i, (lo, hi) in enumerate(info.arcs):
             rows.append([side, "arc_start", i, _fmt(lo), _fmt(0.0)])
             rows.append([side, "arc_end", i, _fmt(hi), _fmt(0.0)])
-        for i, z in enumerate(info.thresholds):
-            rows.append([side, "threshold", i, _fmt(z.real), _fmt(z.imag)])
-        for i, z in enumerate(info.eigenvalues):
-            rows.append([side, "eigenvalue", i, _fmt(z.real), _fmt(z.imag)])
+        for item, points in (("threshold", info.thresholds), ("eigenvalue", info.eigenvalues)):
+            for i, z in enumerate(points):
+                rows.append([side, item, i, _fmt(z.real), _fmt(z.imag)])
     _write_csv(out, ["side", "item", "index", "re", "im"], rows)
 
 
 def _cmd_scatter(cp: configparser.ConfigParser, out: str) -> None:
-    field = _load_field(cp)
-    state = _load_state(cp)
-    opts = _run_options(cp)
+    field, state, opts = _load_run(cp)
     pair, reports = outgoing_pair(state, field, _schedule(opts))
     rows: list[list[Any]] = []
     summary: dict[str, Any] = {}
@@ -335,10 +339,10 @@ def _cmd_scatter(cp: configparser.ConfigParser, out: str) -> None:
 
 
 def _cmd_limit_dist(cp: configparser.ConfigParser, out: str) -> None:
-    field = _load_field(cp)
-    state = _load_state(cp)
-    opts = _run_options(cp)
-    dist = limit_distribution(state, field, _schedule(opts), grid_points=opts["grid_points"])
+    field, state, opts = _load_run(cp)
+    with _section_errors("run"):  # before the limit law is computed
+        _check_point_mass_args(opts["horizon"], opts["radius"])
+    dist = _limit_law(field, state, opts)
     # cross-check the bound mass against the time-average estimator;
     # reuses the scattering pass, raises ConvergenceError on disagreement
     bound = pure_point_mass(
@@ -374,10 +378,10 @@ def _cmd_limit_dist(cp: configparser.ConfigParser, out: str) -> None:
 
 
 def _cmd_compare(cp: configparser.ConfigParser, out: str) -> None:
-    field = _load_field(cp)
-    state = _load_state(cp)
-    opts = _run_options(cp)
-    dist = limit_distribution(state, field, _schedule(opts), grid_points=opts["grid_points"])
+    field, state, opts = _load_run(cp)
+    with _section_errors("run"):  # before the limit law is computed
+        _check_compare_args(opts["ns"], opts["xi"], opts["guard"])
+    dist = _limit_law(field, state, opts)
     records = compare_empirical(
         dist, state, field, opts["ns"], xi=opts["xi"], guard=opts["guard"]
     )
@@ -425,13 +429,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         out_dir = os.path.dirname(args.out) or "."
         if not os.path.isdir(out_dir):
             raise ConfigError(f"output directory {out_dir!r} does not exist")
+        if os.path.isdir(args.out):
+            raise ConfigError(f"output path {args.out!r} is a directory")
         _HANDLERS[args.command](cp, args.out)
     except QwalkError as exc:
-        payload = {
-            "code": type(exc).__name__,
-            "message": str(exc),
-            "path": args.config,
-        }
+        payload = {"code": type(exc).__name__, "message": str(exc), "path": args.config}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return getattr(exc, "exit_code", 1)
     return 0

@@ -52,8 +52,10 @@ def _check_unitary(m: np.ndarray, where: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise DomainError(f"{where}: expected a 2x2 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise DomainError(f"{where}: matrix entries must be finite")
     err = np.abs(m.conj().T @ m - np.eye(2)).max()
-    if not err <= UNITARITY_ATOL:  # NaN entries fail every comparison
+    if not err <= UNITARITY_ATOL:
         raise DomainError(f"{where}: matrix is not unitary (deviation {err:.3e})")
     return m
 

@@ -141,7 +141,7 @@ def k_map_derivative(model: FreeModel, branch: int, m: int, v: np.ndarray) -> np
 class VelocityGrid:
     """Gauss-Legendre grid for integrals against the half density f/2.
 
-    ``weight[i]`` integrates f(v; r)/2 dv, so ``weights.sum()`` is 1/2
+    ``weight[i]`` integrates f(v; r)/2 dv, so ``weight.sum()`` is 1/2
     on the full grid and 1/4 on either half.  ``side`` selects the full
     velocity range, the negative half [-r, 0) or the positive half
     (0, r]; nodes never touch 0 or the band edges.
@@ -153,17 +153,9 @@ class VelocityGrid:
     v: np.ndarray
     weight: np.ndarray
 
-    def integrate(self, values: np.ndarray) -> complex | float:
-        """Integral of a sampled function against f/2 dv."""
-        total = np.sum(self.weight * np.asarray(values))
-        return float(total.real) if np.isrealobj(values) else complex(total)
-
     def norm_sq(self, values: np.ndarray) -> float:
+        """Squared L^2(f/2 dv) norm of a sampled function."""
         return float(np.sum(self.weight * np.abs(np.asarray(values)) ** 2))
-
-    @property
-    def mass(self) -> float:
-        return float(np.sum(self.weight))
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -46,6 +46,11 @@ MAX_WINDOW = 1 << 20
 _SPREAD = 14
 
 
+def _check_radius(radius: int) -> None:
+    if radius < 0:
+        raise DomainError(f"radius must be >= 0, got {radius}")
+
+
 def _check_window(size: int, what: str) -> None:
     """Raise ResourceLimitError for a window over MAX_WINDOW, before it is allocated."""
     if size > MAX_WINDOW:
@@ -211,11 +216,6 @@ class LatticeState:
         """Sites and per-site probabilities (both components summed)."""
         return self.sites, np.sum(np.abs(self.amp) ** 2, axis=1)
 
-    def localized_mass(self, radius: int) -> float:
-        """Probability carried by sites with |x| <= radius."""
-        block = self.values_on(-radius, radius + 1)
-        return float(np.sum(np.abs(block) ** 2))
-
     def characteristic_function(self, xi: float, scale: float) -> complex:
         """E[exp(i xi X / scale)] for the position distribution."""
         if scale <= 0:
@@ -340,6 +340,7 @@ class Evolution:
 
     def localized_mass(self, radius: int) -> float:
         """Probability within |x| <= radius, read off the buffer."""
+        _check_radius(radius)
         a = max(-radius - self.origin, self._i0)
         b = min(radius + 1 - self.origin, self._i1)
         if a >= b:
@@ -369,16 +370,8 @@ class Evolution:
         self.steps_done += 1
 
 
-def evolve(
-    state: LatticeState,
-    field: CoinField,
-    steps: int,
-    *,
-    inverse: bool = False,
-) -> LatticeState:
-    """Apply U^steps (U^{-steps} with ``inverse=True``); negative steps flip direction."""
-    if steps < 0:
-        steps, inverse = -steps, not inverse
-    ev = Evolution(state, field, steps, inverse=inverse)
-    ev.step(steps)
+def evolve(state: LatticeState, field: CoinField, steps: int) -> LatticeState:
+    """Apply U^steps; a negative ``steps`` applies U^{-|steps|}, the only spelling of U^{-n}."""
+    ev = Evolution(state, field, abs(steps), inverse=steps < 0)
+    ev.step(abs(steps))
     return ev.state

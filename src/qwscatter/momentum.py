@@ -20,6 +20,9 @@ the outgoing-state average and the translators K, multiplies branch
 amplitudes by a factor per momentum.  ``to_branches`` takes a spinor
 transform to the amplitudes <u_j(k), hat(psi)(k)>, ``from_branches``
 takes them back; that pair is the one branch-decomposition kernel.
+``_fourier_multiplier`` is the one Fourier-multiplier kernel on that
+pair: U_0^n and chi(V) pass it their factor per momentum, and the
+outgoing average, summed as amplitudes, shares its last step.
 """
 
 from __future__ import annotations
@@ -201,22 +204,32 @@ def from_branches(vec: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return amp[:, 0, None] * vec[:, 0, :] + amp[:, 1, None] * vec[:, 1, :]
 
 
-def _fourier_window(
-    state: LatticeState, size: int, what: str
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Centre ``state`` in a ``size``-site window and transform it.
+def _from_amplitudes(x0: int, vec: np.ndarray, amp: np.ndarray) -> LatticeState:
+    """The state on the window from site ``x0`` whose branch amplitudes are ``amp``."""
+    return LatticeState(x0, np.fft.ifft(from_branches(vec, amp), axis=0))
 
-    Returns the first site of the window, its momenta 2 pi m / size and
-    the (size, 2) FFT.  The site cap is checked before anything is
-    allocated.
+
+def _fourier_multiplier(
+    state: LatticeState,
+    model: FreeModel,
+    size: int,
+    what: str,
+    factor: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> LatticeState:
+    """Multiply the branch amplitudes of ``state`` by ``factor(k, lam)`` on a window.
+
+    The window has ``size`` sites, centres the state and is checked against
+    the cap before allocation; k = 2 pi m / size, and ``lam`` are its eigenvalues.
     """
     _check_window(size, what)
     n = state.hi - state.lo
     x0 = state.lo - (size - n) // 2
-    buf = np.zeros((size, 2), dtype=complex)
-    buf[state.lo - x0 : state.hi - x0] = state.amp
+    hat = np.zeros((size, 2), dtype=complex)
+    hat[state.lo - x0 : state.hi - x0] = state.amp
+    hat = np.fft.fft(hat, axis=0)  # rebinding frees the window before the eigensystem
     k = 2.0 * math.pi * np.arange(size) / size
-    return x0, k, np.fft.fft(buf, axis=0)
+    lam, vec = model.eigensystem(k)
+    return _from_amplitudes(x0, vec, factor(k, lam) * to_branches(vec, hat))
 
 
 def velocity_projection(
@@ -240,15 +253,14 @@ def velocity_projection(
     size = dft_size if dft_size is not None else _next_pow2(n + 512)
     if size < n:
         raise DomainError(f"dft_size {size} is smaller than the state support {n}")
-    x0, k, psi_hat = _fourier_window(state, size, "projection")
-    _, vec = model.eigensystem(k)
-    v = model.velocity(k)
-    if callable(window):
-        mask = np.asarray(window(v), dtype=bool)
-    else:
-        mask = (v >= window[0]) & (v < window[1])
-    out_hat = from_branches(vec, mask * to_branches(vec, psi_hat))
-    return LatticeState(x0, np.fft.ifft(out_hat, axis=0))
+
+    def mask(k: np.ndarray, _lam: np.ndarray) -> np.ndarray:
+        v = model.velocity(k)
+        if callable(window):
+            return np.asarray(window(v), dtype=bool)
+        return (v >= window[0]) & (v < window[1])
+
+    return _fourier_multiplier(state, model, size, "projection", mask)
 
 
 def branch_packet(

@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .coin import CoinField
 from .errors import ConvergenceError, DomainError
 from .lattice import Evolution, LatticeState, _check_window, _next_pow2, evolve
-from .momentum import FreeModel, _fourier_window, from_branches, to_branches
+from .momentum import FreeModel, _fourier_multiplier, _from_amplitudes, to_branches
 
 __all__ = [
     "Schedule",
@@ -88,7 +87,11 @@ class ConvergenceReport:
     checkpoints: list[int]
     increments: list[float]
     tol: float
-    converged: bool
+
+    @property
+    def converged(self) -> bool:
+        """True without checkpoints (nothing to iterate), else final_increment <= tol."""
+        return not self.checkpoints or self.final_increment <= self.tol
 
     @property
     def final_n(self) -> int:
@@ -151,11 +154,11 @@ def free_evolve(state: LatticeState, model: FreeModel, steps: int) -> LatticeSta
     if steps == 0:
         return state.copy()
     size = _next_pow2(state.hi - state.lo + 2 * abs(steps) + 64)
-    x0, k, hat = _fourier_window(state, size, "free evolution")
-    lam, vec = model.eigensystem(k)
-    phases = np.exp(1j * steps * np.angle(lam))  # lambda^steps with exact modulus
-    out = from_branches(vec, phases * to_branches(vec, hat))
-    return LatticeState(x0, np.fft.ifft(out, axis=0))
+
+    def phases(_k: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        return np.exp(1j * steps * np.angle(lam))  # lambda^steps with exact modulus
+
+    return _fourier_multiplier(state, model, size, "free evolution", phases)
 
 
 def wave_forward(
@@ -173,23 +176,21 @@ def wave_forward(
     pair = propagating_part(pair, field)
     models = (free_model(field, "left"), free_model(field, "right"))
     prev: LatticeState | None = None
-    cps: list[int] = []
-    incs: list[float] = []
+    report = ConvergenceReport([], [], sched.tol)
     for n in sched.checkpoints():
         sides = []
         for st, model in zip((pair.left, pair.right), models):
             sides.append(st if st.norm_sq() == 0.0 else free_evolve(st, model, n))
         joined = apply_J(PairState(*sides))
-        phi = evolve(joined, field, n, inverse=True)
-        cps.append(n)
+        phi = evolve(joined, field, -n)
+        report.checkpoints.append(n)
         if prev is not None:
-            incs.append((phi - prev).norm())
+            report.increments.append((phi - prev).norm())
         prev = phi
-        if incs and incs[-1] <= sched.tol:
+        if report.converged:
             break
     assert prev is not None
-    converged = bool(incs) and incs[-1] <= sched.tol
-    return prev.trimmed(1e-15), ConvergenceReport(cps, incs, sched.tol, converged)
+    return prev.trimmed(1e-15), report
 
 
 class _SideAccumulator:
@@ -208,9 +209,7 @@ class _SideAccumulator:
         self.acc = np.zeros((k.size, 2), dtype=complex)
         self.snap = np.zeros_like(self.acc)
         self.block_avg: np.ndarray | None = None
-        self.checkpoints: list[int] = []
-        self.increments: list[float] = []
-        self.tol = tol
+        self.report = ConvergenceReport([], [], tol)
 
     def absorb(self, yhat: np.ndarray, n: int) -> None:
         self.powers *= self.lam_conj
@@ -218,36 +217,38 @@ class _SideAccumulator:
             self.powers /= np.abs(self.powers)
         self.acc += self.powers * to_branches(self.u, yhat)
 
-    def checkpoint(self, n: int, prev_n: int) -> float:
+    def checkpoint(self, n: int, prev_n: int) -> None:
         avg = (self.acc - self.snap) / (n - prev_n)
         np.copyto(self.snap, self.acc)
-        inc = math.inf
         if self.block_avg is not None:
             w = avg.shape[0]
-            inc = float(np.linalg.norm(avg - self.block_avg)) / math.sqrt(w)
-            self.increments.append(inc)
+            self.report.increments.append(float(np.linalg.norm(avg - self.block_avg)) / math.sqrt(w))
         self.block_avg = avg
-        self.checkpoints.append(n)
-        return inc
+        self.report.checkpoints.append(n)
 
     def result(self, x0: int) -> tuple[LatticeState, ConvergenceReport]:
         assert self.block_avg is not None
-        hat = from_branches(self.u, self.block_avg)
-        state = LatticeState(x0, np.fft.ifft(hat, axis=0)).trimmed(1e-15)
-        converged = bool(self.increments and self.increments[-1] <= self.tol)
-        return state, ConvergenceReport(self.checkpoints, self.increments, self.tol, converged)
+        return _from_amplitudes(x0, self.u, self.block_avg).trimmed(1e-15), self.report
 
 
-def _tail_averaged_outgoing(
+def outgoing_pair(
     state: LatticeState,
     field: CoinField,
-    sched: Schedule,
-    sides: Iterable[str],
-) -> dict[str, tuple[LatticeState, ConvergenceReport]]:
-    sides = list(sides)
-    support = state.hi - state.lo
+    schedule: Schedule | None = None,
+) -> tuple[PairState, dict[str, ConvergenceReport]]:
+    """Tail-averaged outgoing states of both sides in one evolution pass.
+
+    A side whose asymptotic coin has a = 0 supports no scattering and
+    comes back as the zero state with an empty report.
+    """
+    sched = schedule or Schedule()
+    states = {s: LatticeState.zero(0, 1) for s in ("left", "right")}
+    reports = {s: ConvergenceReport([], [], sched.tol) for s in ("left", "right")}
+    sides = [s for s in ("left", "right") if field.asymptotic(s).a > 0.0]
+    if not sides:
+        return PairState(states["left"], states["right"]), reports
     n_max = sched.n_max
-    size = _next_pow2(support + 4 * n_max + 256)
+    size = _next_pow2(state.hi - state.lo + 4 * n_max + 256)
     _check_window(size, "outgoing-state")
     x0 = state.lo - 2 * n_max - 128
     k = 2.0 * math.pi * np.arange(size) / size
@@ -271,31 +272,14 @@ def _tail_averaged_outgoing(
                 if a0 < a1:
                     ybuf[a0:a1] = view[a0 - g0 : a1 - g0]
                 accs[side].absorb(np.fft.fft(ybuf, axis=0), n)
-        block_incs = [accs[s].checkpoint(cp, prev_cp) for s in sides]
+        for side in sides:
+            accs[side].checkpoint(cp, prev_cp)
         prev_cp = cp
-        if all(inc <= sched.tol for inc in block_incs):
+        if all(accs[side].report.converged for side in sides):
             break
-    return {s: accs[s].result(x0) for s in sides}
-
-
-def outgoing_pair(
-    state: LatticeState,
-    field: CoinField,
-    schedule: Schedule | None = None,
-) -> tuple[PairState, dict[str, ConvergenceReport]]:
-    """Tail-averaged outgoing states of both sides in one evolution pass.
-
-    A side whose asymptotic coin has a = 0 supports no scattering and
-    comes back as the zero state with an empty report.
-    """
-    sched = schedule or Schedule()
-    sides = [s for s in ("left", "right") if field.asymptotic(s).a > 0.0]
-    results = _tail_averaged_outgoing(state, field, sched, sides) if sides else {}
-    for s in ("left", "right"):
-        if s not in results:
-            results[s] = (LatticeState.zero(0, 1), ConvergenceReport([], [], sched.tol, True))
-    pair = PairState(results["left"][0], results["right"][0])
-    return pair, {s: results[s][1] for s in ("left", "right")}
+    for s in sides:
+        states[s], reports[s] = accs[s].result(x0)
+    return PairState(states["left"], states["right"]), reports
 
 
 def intertwining_residual(

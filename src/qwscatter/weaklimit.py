@@ -30,7 +30,7 @@ import numpy as np
 from .coin import CoinField
 from .errors import ConvergenceError, DomainError
 from .konno import VelocityGrid, apply_K, gauss_legendre, konno_density, velocity_grid
-from .lattice import Evolution, LatticeState, evolve
+from .lattice import Evolution, LatticeState, _check_radius, evolve
 from .momentum import FreeModel, velocity_projection
 from .scattering import PairState, Schedule, outgoing_pair
 
@@ -96,6 +96,32 @@ class LimitDistribution:
 def _require_normalized(state: LatticeState) -> None:
     if abs(state.norm() - 1.0) > 1e-6:
         raise DomainError("state must be normalized to interpret masses as probabilities")
+
+
+def _check_point_mass_args(horizon: int, radius: int) -> None:
+    """The rules of :func:`pure_point_mass` on its time-average window."""
+    if horizon < 2:
+        raise DomainError("horizon must be at least 2")
+    _check_radius(radius)
+
+
+def _check_compare_args(ns: Iterable[int], xi: Sequence[float], guard: float) -> list[int]:
+    """The rules of :func:`compare_empirical` on its arguments; returns the sorted times."""
+    if not 0.0 <= guard < np.inf:
+        raise DomainError(f"guard must be finite and >= 0, got {guard}")
+    if not np.isfinite(np.asarray(xi, dtype=float)).all():
+        raise DomainError(f"characteristic function arguments must be finite, got {tuple(xi)}")
+    times = sorted(int(n) for n in ns)
+    if times and times[0] < 1:
+        raise DomainError("comparison times must be >= 1")
+    return times
+
+
+def _step_cdf(points: np.ndarray, masses: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Total mass at the ascending ``points`` that are <= each of ``at``."""
+    cum = np.cumsum(masses)
+    idx = np.searchsorted(points, at, side="right")
+    return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
 
 
 def limit_distribution(
@@ -187,9 +213,7 @@ def cdf(dist: LimitDistribution, v: np.ndarray) -> np.ndarray:
     for side in (dist.left, dist.right):
         if side is None:
             continue
-        cum = np.cumsum(side.grid.weight * side.values)
-        idx = np.searchsorted(side.grid.v, v_arr, side="right")
-        out = out + np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
+        out = out + _step_cdf(side.grid.v, side.grid.weight * side.values, v_arr)
     return out if np.ndim(v) else float(out[0])
 
 
@@ -241,10 +265,7 @@ def pure_point_mass(
     ``outgoing`` pair to reuse a scattering pass.
     """
     _require_normalized(state)
-    if horizon < 2:
-        raise DomainError("horizon must be at least 2")
-    if radius < 0:
-        raise DomainError(f"radius must be >= 0, got {radius}")
+    _check_point_mass_args(horizon, radius)
     if outgoing is None:
         outgoing, _ = outgoing_pair(state, field_, schedule)
     deficit = 1.0 - outgoing.norm_sq()
@@ -282,10 +303,7 @@ def compare_empirical(
     statistic, characteristic function errors at each ``xi`` and the
     first two moment errors.
     """
-    if not 0.0 <= guard < np.inf:
-        raise DomainError(f"guard must be finite and >= 0, got {guard}")
-    if not np.isfinite(np.asarray(xi, dtype=float)).all():
-        raise DomainError(f"characteristic function arguments must be finite, got {tuple(xi)}")
+    times = _check_compare_args(ns, xi, guard)
     grid = np.linspace(-1.0, 1.0, 401)
     keep = np.ones(grid.shape, dtype=bool)
     for pos, _ in dist.atoms():
@@ -295,14 +313,10 @@ def compare_empirical(
     limit_cf = {x: cf_limit(dist, x) for x in xi}
     limit_moment = {p: moment(dist, p) for p in (1, 2)}
     records: list[dict[str, Any]] = []
-    for n in sorted(int(n) for n in ns):
-        if n < 1:
-            raise DomainError("comparison times must be >= 1")
+    for n in times:
         phi = evolve(state, field_, n)
         xs, probs = phi.position_distribution()
-        cum = np.cumsum(probs)
-        idx = np.searchsorted(xs, kept * n, side="right")
-        emp_cdf = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
+        emp_cdf = _step_cdf(xs, probs, kept * n)
         scaled = xs / n
         record: dict[str, Any] = {
             "n": n,

@@ -1,11 +1,15 @@
 """End-to-end checks of the qwscatter command line tool."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwscatter.cli import main
 
@@ -203,16 +207,27 @@ MALFORMED = {
     "missing_section_header": ("steps = 50\n" + HADAMARD_INI, "out.csv"),
     "line_without_delimiter": (HADAMARD_INI + "no delimiter here\n", "out.csv"),
     "not_utf8": (HADAMARD_INI + "; caf\xe9\n", "out.csv"),
-    # radius = -1 fails only once the limit law is computed, so exit 2
+    # radius = -1 is a domain error (exit 3) of the [run] check, so exit 2
     # shows that the directory is checked first
     "missing_output_directory": (HADAMARD_INI + "radius = -1\n", "missing/out.csv"),
+    # the last spinor or override given for a site used to win silently
+    "repeated_state_site": (
+        HADAMARD_INI.replace("0 = 1,0 0,0", "1 = 0.6,0 0,0\n+1 = 0.8,0 0,0"),
+        "out.csv",
+    ),
+    "repeated_site_override": (
+        HADAMARD_INI
+        + "\n[coin.site.1]\nmatrix = 1,0 0,0 0,0 -1,0\n\n[coin.site.01]\nmatrix = 1,0 0,0 0,0 1,0\n",
+        "out.csv",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_2(tmp_path, capsys, case):
-    # each of these used to escape as a traceback with exit 1, the last
-    # one only after the whole computation had run
+    # each of these used to escape as a traceback with exit 1 (the missing
+    # directory only after the whole computation had run) or to exit 0
+    # having dropped part of the input
     ini, name = MALFORMED[case]
     cfg = tmp_path / "run.ini"
     cfg.write_bytes(ini.encode("latin-1"))
@@ -304,3 +319,163 @@ def test_estimator_disagreement_exits_4(tmp_path, capsys):
     # the time average cannot match the near-zero norm deficit
     ini = HADAMARD_INI + "\nhorizon = 150\nradius = 64\n"
     expect_error(tmp_path, capsys, ini, "ConvergenceError", 4, command="limit-dist")
+
+
+@pytest.fixture
+def no_limit_law(monkeypatch):
+    """Make any computation of the limit law fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the limit law was computed")
+
+    monkeypatch.setattr("qwscatter.cli.limit_distribution", refuse)
+
+
+def test_output_directory_exits_2(tmp_path, capsys, no_limit_law):
+    # used to run the whole computation, then fail with IsADirectoryError
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(HADAMARD_INI)
+    out = tmp_path / "out.csv"
+    out.mkdir()
+    rc = main(["limit-dist", "--config", str(cfg), "--out", str(out)])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 2
+    assert err["code"] == "ConfigError"
+    assert "directory" in err["message"]
+
+
+def with_run_value(ini, key, value):
+    """``ini`` with [run] (its last section) setting ``key`` to ``value``."""
+    lines = [line for line in ini.splitlines() if not line.startswith(f"{key} = ")]
+    return "\n".join(lines) + f"\n{key} = {value}\n"
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("limit-dist", "radius", "-1"),
+        ("limit-dist", "horizon", "1"),
+        ("compare", "guard", "nan"),
+        ("compare", "xi", "inf"),
+        ("compare", "ns", "0"),
+    ],
+)
+def test_run_values_checked_before_the_limit_law(tmp_path, capsys, no_limit_law, command, key, value):
+    # each used to exit 3 only after the limit law had been computed
+    ini = with_run_value(HADAMARD_INI, key, value)
+    err = expect_error(tmp_path, capsys, ini, "DomainError", 3, command=command)
+    assert err["message"].startswith("[run]: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("simulate", "tol", "inf"),
+        ("density", "radius", "-1"),
+        ("scatter", "ns", "0"),
+        ("scatter", "horizon", "1"),
+        ("limit-dist", "guard", "nan"),
+        ("compare", "radius", "-1"),
+    ],
+)
+def test_run_values_a_command_does_not_use_are_not_checked(tmp_path, command, key, value):
+    # a command checks only the [run] values that it uses
+    rc, out, _ = run_cli(tmp_path, with_run_value(HADAMARD_INI, key, value), command)
+    assert rc == 0
+    assert out.exists()
+
+
+# -- property test: random configs, random subcommands ------------------
+
+_COMMANDS = ("simulate", "density", "spectrum", "scatter", "limit-dist", "compare")
+_WORDS = {"left", "right", "arc_start", "arc_end", "threshold", "eigenvalue", "atom", "density", ""}
+_SPOILED = ("nan", "inf", "-inf", "1e400", "-1", "0", "2", "x", "")
+_angle = st.floats(-4.0, 4.0)
+
+
+def _text(x):
+    return repr(float(x))
+
+
+@st.composite
+def _unitary(draw):
+    """A random unitary as a ``matrix`` value at 17 digits."""
+    t, p, q, r = (draw(_angle) for _ in range(4))
+    c, s = math.cos(t), math.sin(t)
+    m = np.exp(1j * r) * np.array(
+        [[c * np.exp(1j * p), s * np.exp(1j * q)], [-s * np.exp(-1j * q), c * np.exp(-1j * p)]]
+    )
+    return " ".join(f"{_text(z.real)},{_text(z.imag)}" for z in m.ravel())
+
+
+@st.composite
+def _coin(draw):
+    if draw(st.booleans()):
+        return {"matrix": draw(_unitary())}
+    coin = {"a": _text(draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))))}
+    for key in draw(st.lists(st.sampled_from(["alpha", "beta", "delta"]), unique=True)):
+        coin[key] = _text(draw(_angle))
+    return coin
+
+
+@st.composite
+def _config(draw):
+    """A valid small config, half the time with one value spoiled."""
+    sections = {"coin.left": draw(_coin()), "coin.right": draw(_coin())}
+    for site in draw(st.lists(st.integers(-3, 3), max_size=2, unique=True)):
+        sections[f"coin.site.{site}"] = {"matrix": draw(_unitary())}
+    for side in draw(st.lists(st.sampled_from(["left", "right"]), max_size=2, unique=True)):
+        sections[f"coin.tail.{side}"] = {
+            "kappa": _text(draw(st.floats(0.0, 1.0))),
+            "epsilon": _text(draw(st.floats(0.1, 2.0))),
+        }
+    state = {}
+    for site in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True)):
+        re0, im0, re1, im1 = (_text(draw(st.floats(-2.0, 2.0))) for _ in range(4))
+        state[str(site)] = f"{re0},{im0} {re1},{im1}"
+    if draw(st.booleans()):
+        state["normalize"] = draw(st.sampled_from(["true", "false"]))
+    sections["state"] = state
+    # every size is given, since the defaults take seconds
+    n_max = draw(st.integers(2, 64))
+    sections["run"] = {
+        "steps": str(draw(st.integers(-8, 24))),
+        "n_max": str(n_max),
+        "first": str(draw(st.integers(2, n_max))),
+        "tol": draw(st.sampled_from(["1e-6", "0.01"])),
+        "grid_points": str(draw(st.integers(2, 17))),
+        "horizon": str(draw(st.integers(2, 48))),
+        "radius": str(draw(st.integers(0, 8))),
+        "ns": ",".join(map(str, draw(st.lists(st.integers(1, 24), max_size=2)))),
+        "xi": ",".join(map(_text, draw(st.lists(st.floats(-5.0, 5.0), max_size=2)))),
+        "guard": _text(draw(st.floats(0.0, 0.2))),
+    }
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(sections)))
+        key = draw(st.sampled_from(sorted(sections[name])))
+        sections[name][key] = draw(st.sampled_from(_SPOILED))
+    return "\n".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in body.items())
+        for name, body in sections.items()
+    )
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(ini=_config(), command=st.sampled_from(_COMMANDS))
+def test_random_configs_exit_cleanly(tmp_path_factory, ini, command):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg, out = tmp / "run.ini", tmp / "out.csv"
+    cfg.write_text(ini)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+    assert rc in (0, 2, 3, 4)
+    if rc:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"code", "message", "path"}
+        return
+    _, rows = read_rows(out)
+    for cell in (cell for row in rows for cell in row):
+        assert cell in _WORDS or math.isfinite(float(cell)), cell

@@ -87,14 +87,13 @@ def test_gauss_legendre_rule(n):
 def test_velocity_grid_masses_and_ranges():
     for side, mass in (("full", 0.5), ("neg", 0.25), ("pos", 0.25)):
         grid = velocity_grid(0.7, gauss_legendre(257), side)
-        assert grid.mass == pytest.approx(mass, abs=1e-12)
+        assert grid.weight.sum() == pytest.approx(mass, abs=1e-12)
         assert np.all(grid.weight > 0.0)
         assert np.all(np.abs(grid.v) < 0.7)
         if side == "neg":
             assert np.all(grid.v < 0.0)
         if side == "pos":
             assert np.all(grid.v > 0.0)
-        assert grid.integrate(np.ones_like(grid.v)) == pytest.approx(mass, abs=1e-12)
     with pytest.raises(DomainError):
         velocity_grid(0.0, gauss_legendre(3))
     with pytest.raises(DomainError):

@@ -104,7 +104,7 @@ def test_shift_moves_components_oppositely():
     assert np.allclose(shifted.values_on(-1, 0)[0], (1.0, 0.0))
     assert np.allclose(shifted.values_on(1, 2)[0], (0.0, 1.0))
     assert np.allclose(shifted.values_on(0, 1)[0], (0.0, 0.0))
-    back = evolve(shifted, fld, 1, inverse=True)
+    back = evolve(shifted, fld, -1)
     assert (back - s).norm() < 1e-15
 
 
@@ -131,11 +131,8 @@ def test_inverse_evolve_matches_adjoint_matrix(rng):
     mat = dense_step_matrix(fld, lo, hi)
     vec = state_to_dense(s, lo, hi)
     expected = dense_to_state(np.linalg.matrix_power(mat.conj().T, 7) @ vec, lo)
-    got = evolve(s, fld, 7, inverse=True)
+    got = evolve(s, fld, -7)
     assert (got - expected).norm() < 1e-12
-    # negative step count means the same thing
-    also = evolve(s, fld, -7)
-    assert (also - expected).norm() < 1e-12
 
 
 def test_evolution_is_unitary_and_invertible(rng):
@@ -143,7 +140,7 @@ def test_evolution_is_unitary_and_invertible(rng):
     s = random_state(rng)
     forward = evolve(s, fld, 25)
     assert forward.norm() == pytest.approx(s.norm(), abs=1e-13)
-    back = evolve(forward, fld, 25, inverse=True)
+    back = evolve(forward, fld, -25)
     assert (back - s).norm() < 1e-12
 
 
@@ -249,10 +246,23 @@ def test_position_distribution_and_localized_mass(rng):
     xs, probs = s.position_distribution()
     assert xs.shape == probs.shape
     assert probs.sum() == pytest.approx(1.0)
-    assert s.localized_mass(100) == pytest.approx(1.0)
-    assert s.localized_mass(0) == pytest.approx(
-        float(np.sum(np.abs(s.values_on(0, 1)) ** 2))
-    )
+    ev = Evolution(s, CoinField(left=hadamard_coin(), right=hadamard_coin()), max_steps=0)
+    assert ev.localized_mass(100) == pytest.approx(1.0)
+    assert ev.localized_mass(0) == pytest.approx(float(probs[xs == 0][0]))
+    with pytest.raises(DomainError):
+        ev.localized_mass(-1)  # used to read 0.0
+
+
+@pytest.mark.parametrize("lo", [10, -20])
+def test_localized_mass_of_a_state_outside_the_ball(rng, lo):
+    # a state right of radius + max_steps + 1 must not wrap the buffer
+    # slice around and read its own mass
+    s = random_state(rng, lo, lo + 10)
+    ev = Evolution(s, CoinField(left=hadamard_coin(), right=hadamard_coin()), max_steps=5)
+    for _ in range(5):
+        assert ev.localized_mass(0) == 0.0
+        ev.step()
+    assert ev.localized_mass(0) == 0.0
 
 
 def test_characteristic_function_matches_direct_sum(rng):

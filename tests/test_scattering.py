@@ -67,12 +67,14 @@ def test_schedule_checkpoints_are_dyadic_then_capped():
 
 
 def test_convergence_report_require():
-    good = ConvergenceReport([64, 128], [1e-9], 1e-6, True)
+    good = ConvergenceReport([64, 128], [1e-9], 1e-6)
     good.require()
-    assert good.final_n == 128 and good.final_increment == 1e-9
-    bad = ConvergenceReport([64, 128], [0.5], 1e-6, False)
-    with pytest.raises(ConvergenceError):
-        bad.require()
+    assert good.converged and good.final_n == 128 and good.final_increment == 1e-9
+    assert ConvergenceReport([], [], 1e-6).converged  # nothing to iterate
+    for bad in (ConvergenceReport([64, 128], [0.5], 1e-6), ConvergenceReport([64], [], 1e-6)):
+        assert not bad.converged
+        with pytest.raises(ConvergenceError):
+            bad.require()
 
 
 def test_identification_map_identities(rng):

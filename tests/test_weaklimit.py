@@ -153,6 +153,14 @@ def test_pure_point_mass_rejects_negative_radius(had_field):
         pure_point_mass(psi, had_field, Schedule(n_max=64), horizon=1, radius=4)
 
 
+def test_pure_point_mass_of_a_state_far_from_the_origin(had_field):
+    # the walk never comes within radius 4 of the origin, so the time
+    # average is 0 and agrees with the Hadamard walk's zero deficit
+    psi = LatticeState.point(200, (1.0, 0.0))
+    val = pure_point_mass(psi, had_field, Schedule(n_max=256), horizon=100, radius=4)
+    assert 0.0 <= val < 0.05
+
+
 def test_limit_distribution_builds_one_gauss_rule(monkeypatch):
     calls = []
 
