@@ -129,11 +129,11 @@ def _parse_matrix(text: str, where: str) -> np.ndarray:
 
 @contextlib.contextmanager
 def _section_errors(section: str) -> Iterator[None]:
-    """Prefix ``[section]`` to its DomainErrors; an unparseable value is a ConfigError."""
+    """Prefix ``[section]`` to its DomainErrors (type kept); an unparseable value is a ConfigError."""
     try:
         yield
     except DomainError as exc:
-        raise DomainError(f"[{section}]: {exc}") from exc
+        raise type(exc)(f"[{section}]: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"[{section}]: bad numeric value ({exc})") from exc
 
@@ -341,7 +341,7 @@ def _cmd_scatter(cp: configparser.ConfigParser, out: str) -> None:
 def _cmd_limit_dist(cp: configparser.ConfigParser, out: str) -> None:
     field, state, opts = _load_run(cp)
     with _section_errors("run"):  # before the limit law is computed
-        _check_point_mass_args(opts["horizon"], opts["radius"])
+        _check_point_mass_args(opts["horizon"], opts["radius"], state)
     dist = _limit_law(field, state, opts)
     # cross-check the bound mass against the time-average estimator;
     # reuses the scattering pass, raises ConvergenceError on disagreement
@@ -380,7 +380,7 @@ def _cmd_limit_dist(cp: configparser.ConfigParser, out: str) -> None:
 def _cmd_compare(cp: configparser.ConfigParser, out: str) -> None:
     field, state, opts = _load_run(cp)
     with _section_errors("run"):  # before the limit law is computed
-        _check_compare_args(opts["ns"], opts["xi"], opts["guard"])
+        _check_compare_args(opts["ns"], opts["xi"], opts["guard"], state)
     dist = _limit_law(field, state, opts)
     records = compare_empirical(
         dist, state, field, opts["ns"], xi=opts["xi"], guard=opts["guard"]

@@ -26,6 +26,16 @@ iteration with certified increments:
   into a spinor state once, at the end, so one interacting evolution
   pass serves every block and both sides.
 
+  Once U^n psi is known the two sides share nothing until a checkpoint.
+  The calling thread steps the walk a few steps at a time; the first
+  a.c. side absorbs each batch there while the second absorbs it on one
+  worker thread, which works because numpy releases the GIL in its FFTs
+  and elementwise loops; windows under 8192 sites, whose FFTs are short,
+  absorb both sides on the calling thread.  Each side performs the same
+  operations in the same order as when the sides ran one after the
+  other, so the outgoing states and their reports are bit-identical to
+  that serial loop.
+
 Sides whose asymptotic coin is purely off diagonal (a = 0) carry no
 propagating modes; ``propagating_part`` projects them away, which is
 exactly the spectral cutoff of the free dynamics away from its point
@@ -198,10 +208,11 @@ class _SideAccumulator:
 
     The free eigenbasis is orthonormal at every k, so block averages and
     their increments are taken on the amplitudes directly; the spinor
-    transform is rebuilt once, from the last block average.
+    transform is rebuilt once, from the last block average.  The side's
+    half line is the window index range [lo, hi).
     """
 
-    def __init__(self, model: FreeModel, k: np.ndarray, tol: float) -> None:
+    def __init__(self, model: FreeModel, k: np.ndarray, tol: float, lo: int, hi: int) -> None:
         lam, vec = model.eigensystem(k)
         self.u = vec  # (W, 2, 2)
         self.lam_conj = lam.conj()
@@ -210,11 +221,29 @@ class _SideAccumulator:
         self.snap = np.zeros_like(self.acc)
         self.block_avg: np.ndarray | None = None
         self.report = ConvergenceReport([], [], tol)
+        self.lo, self.hi = lo, hi
+        self.ybuf = np.zeros((k.size, 2), dtype=complex)
+        self.yhat = np.empty_like(self.ybuf)  # reused: a fresh array per step grows a worker's own heap
+
+    def absorb_batch(self, batch: list[tuple[int, int, np.ndarray]]) -> None:
+        """Absorb 1_star U^n psi for each (n, g0, amplitudes from window index g0)."""
+        for n, g0, amp in batch:
+            # the walk's support only grows, so the side's part [a0, a1)
+            # covers every earlier one and the rest of ybuf is still zero
+            a0, a1 = max(g0, self.lo), min(g0 + len(amp), self.hi)
+            if a0 < a1:
+                self.ybuf[a0:a1] = amp[a0 - g0 : a1 - g0]
+            self.absorb(np.fft.fft(self.ybuf, axis=0, out=self.yhat), n)
 
     def absorb(self, yhat: np.ndarray, n: int) -> None:
         self.powers *= self.lam_conj
         if n % 1024 == 0:
             self.powers /= np.abs(self.powers)
+        # Keep this one expression, to_branches' result unnamed and on the
+        # right: with FMA, a*b and b*a differ in the last bit, and for
+        # windows of 8192 sites or more numpy evaluates the product in place
+        # as tmp *= powers.  Naming tmp or writing the product into an out=
+        # buffer changes the outgoing state.
         self.acc += self.powers * to_branches(self.u, yhat)
 
     def checkpoint(self, n: int, prev_n: int) -> None:
@@ -231,6 +260,14 @@ class _SideAccumulator:
         return _from_amplitudes(x0, self.u, self.block_avg).trimmed(1e-15), self.report
 
 
+_BATCH = 8  # walk steps taken between two absorptions by the sides
+# Smallest window whose second side is absorbed on a worker thread.  Below
+# it the worker saves a few percent of the pass when a second core is idle
+# and costs more than that when the core is busy, so the pass's time would
+# hang on other load; at 8192 sites it wins either way.
+_PARALLEL_SITES = 8192
+
+
 def outgoing_pair(
     state: LatticeState,
     field: CoinField,
@@ -238,6 +275,10 @@ def outgoing_pair(
 ) -> tuple[PairState, dict[str, ConvergenceReport]]:
     """Tail-averaged outgoing states of both sides in one evolution pass.
 
+    The calling thread steps the walk ``_BATCH`` steps at a time; then the
+    first a.c. side absorbs the batch here while the second absorbs it on
+    one worker thread, and the worker finishes before the walk steps on.
+    Windows under ``_PARALLEL_SITES`` sites absorb both sides here.
     A side whose asymptotic coin has a = 0 supports no scattering and
     comes back as the zero state with an empty report.
     """
@@ -252,33 +293,40 @@ def outgoing_pair(
     _check_window(size, "outgoing-state")
     x0 = state.lo - 2 * n_max - 128
     k = 2.0 * math.pi * np.arange(size) / size
-    accs = {s: _SideAccumulator(free_model(field, s), k, sched.tol) for s in sides}
-    ev = Evolution(state, field, n_max)
     origin_idx = -x0  # fourier buffer index of lattice site 0
-    ybuf = np.zeros((size, 2), dtype=complex)
+    half = {"left": (0, origin_idx), "right": (origin_idx, size)}
+    accs = [_SideAccumulator(free_model(field, s), k, sched.tol, *half[s]) for s in sides]
+    here, away = (accs[:1], accs[1:]) if size >= _PARALLEL_SITES else (accs, [])
+    ev = Evolution(state, field, n_max)
     prev_cp = 0
-    for cp in sched.checkpoints():
-        for n in range(prev_cp + 1, cp + 1):
-            ev.step()
-            view = ev.values_view()
-            g0 = ev.lo - x0
-            g1 = ev.hi - x0
-            for side in sides:
-                if side == "left":
-                    a0, a1 = g0, min(g1, origin_idx)
-                else:
-                    a0, a1 = max(g0, origin_idx), g1
-                ybuf[:] = 0.0
-                if a0 < a1:
-                    ybuf[a0:a1] = view[a0 - g0 : a1 - g0]
-                accs[side].absorb(np.fft.fft(ybuf, axis=0), n)
-        for side in sides:
-            accs[side].checkpoint(cp, prev_cp)
-        prev_cp = cp
-        if all(accs[side].report.converged for side in sides):
-            break
-    for s in sides:
-        states[s], reports[s] = accs[s].result(x0)
+    # imported here, not at the top: concurrent.futures imports logging,
+    # which would add to the import time of every qwscatter process
+    from concurrent.futures import ThreadPoolExecutor
+
+    # numpy releases the GIL in its FFTs and elementwise loops, so the two
+    # sides run in parallel; one a.c. side or a small window submits nothing
+    # and starts no thread
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="outgoing-side") as worker:
+        for cp in sched.checkpoints():
+            for start in range(prev_cp + 1, cp + 1, _BATCH):
+                batch = []
+                for n in range(start, min(start + _BATCH, cp + 1)):
+                    ev.step()
+                    batch.append((n, ev.lo - x0, ev.values_view().copy()))
+                pending = [worker.submit(acc.absorb_batch, batch) for acc in away]
+                for acc in here:
+                    acc.absorb_batch(batch)
+                # joined every batch: one batch is alive at a time, and no
+                # FFT runs while the walk steps
+                for future in pending:
+                    future.result()
+            for acc in accs:
+                acc.checkpoint(cp, prev_cp)
+            prev_cp = cp
+            if all(acc.report.converged for acc in accs):
+                break
+    for s, acc in zip(sides, accs):
+        states[s], reports[s] = acc.result(x0)
     return PairState(states["left"], states["right"]), reports
 
 

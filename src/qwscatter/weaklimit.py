@@ -30,7 +30,7 @@ import numpy as np
 from .coin import CoinField
 from .errors import ConvergenceError, DomainError
 from .konno import VelocityGrid, apply_K, gauss_legendre, konno_density, velocity_grid
-from .lattice import Evolution, LatticeState, _check_radius, evolve
+from .lattice import Evolution, LatticeState, _check_radius, _check_window, evolve
 from .momentum import FreeModel, velocity_projection
 from .scattering import PairState, Schedule, outgoing_pair
 
@@ -98,15 +98,26 @@ def _require_normalized(state: LatticeState) -> None:
         raise DomainError("state must be normalized to interpret masses as probabilities")
 
 
-def _check_point_mass_args(horizon: int, radius: int) -> None:
-    """The rules of :func:`pure_point_mass` on its time-average window."""
+def _check_point_mass_args(horizon: int, radius: int, state: LatticeState) -> None:
+    """The rules of :func:`pure_point_mass` on its time-average window.
+
+    The evolution window, the sites of ``state`` plus 2 ``horizon``, is
+    checked against the cap here.
+    """
     if horizon < 2:
         raise DomainError("horizon must be at least 2")
     _check_radius(radius)
+    _check_window(state.hi - state.lo + 2 * horizon, "evolution")
 
 
-def _check_compare_args(ns: Iterable[int], xi: Sequence[float], guard: float) -> list[int]:
-    """The rules of :func:`compare_empirical` on its arguments; returns the sorted times."""
+def _check_compare_args(
+    ns: Iterable[int], xi: Sequence[float], guard: float, state: LatticeState
+) -> list[int]:
+    """The rules of :func:`compare_empirical` on its arguments; returns the sorted times.
+
+    The evolution window of the latest time, the sites of ``state`` plus
+    twice that time, is checked against the cap here.
+    """
     if not 0.0 <= guard < np.inf:
         raise DomainError(f"guard must be finite and >= 0, got {guard}")
     if not np.isfinite(np.asarray(xi, dtype=float)).all():
@@ -114,6 +125,8 @@ def _check_compare_args(ns: Iterable[int], xi: Sequence[float], guard: float) ->
     times = sorted(int(n) for n in ns)
     if times and times[0] < 1:
         raise DomainError("comparison times must be >= 1")
+    if times:
+        _check_window(state.hi - state.lo + 2 * times[-1], "evolution")
     return times
 
 
@@ -265,7 +278,7 @@ def pure_point_mass(
     ``outgoing`` pair to reuse a scattering pass.
     """
     _require_normalized(state)
-    _check_point_mass_args(horizon, radius)
+    _check_point_mass_args(horizon, radius, state)
     if outgoing is None:
         outgoing, _ = outgoing_pair(state, field_, schedule)
     deficit = 1.0 - outgoing.norm_sq()
@@ -303,7 +316,7 @@ def compare_empirical(
     statistic, characteristic function errors at each ``xi`` and the
     first two moment errors.
     """
-    times = _check_compare_args(ns, xi, guard)
+    times = _check_compare_args(ns, xi, guard, state)
     grid = np.linspace(-1.0, 1.0, 401)
     keep = np.ones(grid.shape, dtype=bool)
     for pos, _ in dist.atoms():

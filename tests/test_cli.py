@@ -371,6 +371,22 @@ def test_run_values_checked_before_the_limit_law(tmp_path, capsys, no_limit_law,
 @pytest.mark.parametrize(
     "command, key, value",
     [
+        ("limit-dist", "horizon", "600000"),
+        ("compare", "ns", "40,600000"),
+    ],
+)
+def test_window_caps_checked_before_the_limit_law(tmp_path, capsys, no_limit_law, command, key, value):
+    # the walk window of 1 + 2 * 600000 sites is over the cap; each used to
+    # exit 3 only after the limit law had been computed
+    ini = with_run_value(HADAMARD_INI, key, value)
+    err = expect_error(tmp_path, capsys, ini, "ResourceLimitError", 3, command=command)
+    assert err["message"].startswith("[run]: evolution window of 1200001 sites")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
         ("simulate", "tol", "inf"),
         ("density", "radius", "-1"),
         ("scatter", "ns", "0"),

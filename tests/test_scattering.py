@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from qwscatter import (
 from qwscatter.lattice import Evolution
 from qwscatter.scattering import (
     ConvergenceReport,
+    _SideAccumulator,
     apply_J,
     apply_J_adjoint,
     free_evolve,
@@ -251,6 +253,124 @@ def test_outgoing_pair_matches_spinor_accumulation(one_defect_field):
     assert (pair.right - want["right"]).norm() < 1e-12
     for side in ("left", "right"):
         assert np.allclose(reports[side].increments, incs[side], rtol=1e-12, atol=0.0)
+
+
+def serial_outgoing(state, field, sched):
+    """Frozen reference for ``outgoing_pair``: the loop that absorbed the
+    two sides one after the other on the calling thread, one FFT of a
+    freshly zeroed window per step and side.
+
+    Its arithmetic is the library's, operation for operation (the branch
+    transforms are written out), so the results must agree bit for bit.
+    Returns the outgoing states and increments of the a.c. sides.
+    """
+    sides = [s for s in ("left", "right") if field.asymptotic(s).a > 0.0]
+    n_max = sched.n_max
+    size = 1 << max(state.hi - state.lo + 4 * n_max + 256 - 1, 1).bit_length()
+    x0 = state.lo - 2 * n_max - 128
+    k = 2.0 * math.pi * np.arange(size) / size
+    lam_conj, u, powers, acc, snap, avg, incs = {}, {}, {}, {}, {}, {}, {}
+    for s in sides:
+        lam, u[s] = free_model(field, s).eigensystem(k)  # u: (W, 2, 2), branch first
+        lam_conj[s], powers[s] = lam.conj(), np.ones_like(lam)
+        acc[s] = np.zeros((size, 2), dtype=complex)
+        snap[s], avg[s], incs[s] = np.zeros_like(acc[s]), None, []
+    ev = Evolution(state, field, n_max)
+    ybuf = np.zeros((size, 2), dtype=complex)
+    prev_cp = 0
+    for cp in sched.checkpoints():
+        for n in range(prev_cp + 1, cp + 1):
+            ev.step()
+            view, g0, g1 = ev.values_view(), ev.lo - x0, ev.hi - x0
+            for s in sides:
+                a0, a1 = (g0, min(g1, -x0)) if s == "left" else (max(g0, -x0), g1)
+                ybuf[:] = 0.0
+                if a0 < a1:
+                    ybuf[a0:a1] = view[a0 - g0 : a1 - g0]
+                yhat = np.fft.fft(ybuf, axis=0)
+                powers[s] *= lam_conj[s]
+                if n % 1024 == 0:
+                    powers[s] /= np.abs(powers[s])
+                uc = u[s].conj()
+                acc[s] += powers[s] * (uc[..., 0] * yhat[:, None, 0] + uc[..., 1] * yhat[:, None, 1])
+        for s in sides:
+            new = (acc[s] - snap[s]) / (cp - prev_cp)
+            np.copyto(snap[s], acc[s])
+            if avg[s] is not None:
+                incs[s].append(float(np.linalg.norm(new - avg[s])) / math.sqrt(size))
+            avg[s] = new
+        prev_cp = cp
+        if all(incs[s] and incs[s][-1] <= sched.tol for s in sides):
+            break
+    out = {}
+    for s in sides:
+        spinor = avg[s][:, 0, None] * u[s][:, 0, :] + avg[s][:, 1, None] * u[s][:, 1, :]
+        out[s] = LatticeState(x0, np.fft.ifft(spinor, axis=0)).trimmed(1e-15)
+    return out, incs
+
+
+@pytest.mark.parametrize(
+    "case, n_max",
+    [
+        ("one_defect", 256),  # 2,048-site window
+        ("hadamard", 1024),  # 8,192 sites: numpy evaluates the product in place
+        ("one_reflecting_side", 256),
+    ],
+)
+def test_outgoing_pair_is_bit_identical_to_the_serial_loop(rng, one_defect_field, case, n_max):
+    fields = {
+        "one_defect": one_defect_field,
+        "hadamard": CoinField(left=hadamard_coin(), right=hadamard_coin()),
+        "one_reflecting_side": CoinField(left=hadamard_coin(), right=reflecting_coin()),
+    }
+    psi = random_state(rng, -1, 2)
+    sched = Schedule(n_max=n_max, tol=1e-6)
+    pair, reports = outgoing_pair(psi, fields[case], sched)
+    want, incs = serial_outgoing(psi, fields[case], sched)
+    assert reports["left"].final_n == n_max  # no early stop: every step is compared
+    for side in ("left", "right"):
+        got = getattr(pair, side)
+        ref = want.get(side, LatticeState.zero(0, 1))
+        assert got.lo == ref.lo
+        assert got.amp.tobytes() == ref.amp.tobytes()
+        got_incs = np.array(reports[side].increments)
+        assert got_incs.tobytes() == np.array(incs.get(side, [])).tobytes()
+
+
+@pytest.mark.parametrize("raising", ["calling thread", "worker"])
+def test_outgoing_pair_error_leaves_no_thread(monkeypatch, rng, raising):
+    caller = threading.current_thread()
+    absorbed_on = set()
+    absorb = _SideAccumulator.absorb
+
+    def failing(self, yhat, n):
+        here = threading.current_thread()
+        absorbed_on.add(here)
+        if n == 100 and (here is caller) == (raising == "calling thread"):
+            raise ConvergenceError("injected")
+        absorb(self, yhat, n)
+
+    monkeypatch.setattr(_SideAccumulator, "absorb", failing)
+    fld = CoinField(left=hadamard_coin(), right=hadamard_coin())
+    before = threading.active_count()
+    with pytest.raises(ConvergenceError, match="injected"):
+        outgoing_pair(random_state(rng), fld, Schedule(n_max=1024, tol=1e-6))  # 8,192 sites
+    assert threading.active_count() == before
+    assert len(absorbed_on) == 2 and caller in absorbed_on  # one side on a worker
+
+
+@pytest.mark.parametrize(
+    "left",
+    [reflecting_coin(), hadamard_coin()],  # one a.c. side; two in a 1,024-site window
+)
+def test_outgoing_pair_starts_no_thread_for_one_side_or_a_small_window(monkeypatch, rng, left):
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    fld = CoinField(left=left, right=hadamard_coin())
+    pair, reports = outgoing_pair(random_state(rng), fld, Schedule(n_max=128, tol=1e-6))
+    assert reports["right"].final_n == 128 and pair.right.norm() > 0.0
 
 
 def test_outgoing_pair_zeroes_reflecting_side(rng):
