@@ -289,13 +289,3 @@ class CoinField:
             if lo <= site < hi:
                 out[site - lo] = m
         return out
-
-    @property
-    def is_homogeneous(self) -> bool:
-        """True when every site carries the same coin."""
-        return (
-            not self.overrides
-            and self.tail_left is None
-            and self.tail_right is None
-            and np.abs(self.left.matrix() - self.right.matrix()).max() == 0.0
-        )

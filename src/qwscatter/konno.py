@@ -188,16 +188,15 @@ _THETA_RANGES = {
 
 
 def velocity_grid(
-    model: FreeModel | float,
+    model: FreeModel,
     rule: tuple[np.ndarray, np.ndarray],
     side: Literal["full", "neg", "pos"] = "full",
 ) -> VelocityGrid:
-    """Map a Gauss-Legendre ``rule`` onto the velocity range of ``model``.
+    """Map a Gauss-Legendre ``rule`` onto the velocities |v| < a of ``model``.
 
-    Accepts either a :class:`FreeModel` or the speed bound r directly;
     ``rule`` is the (nodes, weights) pair of :func:`gauss_legendre`.
     """
-    r = model.coin.a if isinstance(model, FreeModel) else float(model)
+    r = model.coin.a
     if not 0.0 < r < 1.0:
         raise DomainError(f"grid needs a speed bound in (0, 1), got {r}")
     if side not in _THETA_RANGES:
@@ -225,7 +224,7 @@ def apply_K(state: LatticeState, model: FreeModel, branch: int, m: int, grid: Ve
     k = k_map(model, branch, m, grid.v)
     hat = fourier_at(state, k)
     _, vec = model.eigensystem(k)
-    return to_branches(vec, hat)[:, branch]
+    return to_branches(vec.conj(), hat)[:, branch]
 
 
 def apply_K_adjoint(

@@ -17,12 +17,14 @@ spectrum degenerates to two infinitely degenerate eigenvalues.
 
 Every function of the free walk, U_0^n, the velocity projection chi(V),
 the outgoing-state average and the translators K, multiplies branch
-amplitudes by a factor per momentum.  ``to_branches`` takes a spinor
-transform to the amplitudes <u_j(k), hat(psi)(k)>, ``from_branches``
-takes them back; that pair is the one branch-decomposition kernel.
-``_fourier_multiplier`` is the one Fourier-multiplier kernel on that
-pair: U_0^n and chi(V) pass it their factor per momentum, and the
-outgoing average, summed as amplitudes, shares its last step.
+amplitudes by a factor per momentum.  ``to_branches(vec.conj(), hat)``
+takes a spinor transform to the amplitudes <u_j(k), hat(psi)(k)> on the
+bras, which a caller reusing one basis conjugates once, and
+``from_branches(vec, amp)`` takes them back on the kets; that pair is
+the one branch-decomposition kernel.  ``_fourier_multiplier`` is the
+one Fourier-multiplier kernel on that pair: U_0^n and chi(V) pass it
+their factor per momentum, and the outgoing average, summed as
+amplitudes, shares its last step.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ __all__ = [
     "velocity_projection",
     "branch_packet",
 ]
-
-# Window predicate for velocity projections: a half open interval [lo, hi)
-# or an elementwise boolean function of a velocity array.
-VelocityWindow = Callable[[np.ndarray], np.ndarray] | tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -167,10 +165,9 @@ class SpectrumArcs:
         return len(self.eigenvalues) > 0
 
 
-def spectrum_arcs(model: FreeModel | CoinMatrix) -> SpectrumArcs:
+def spectrum_arcs(model: FreeModel) -> SpectrumArcs:
     """Arcs, thresholds and point spectrum of the free walk."""
-    coin = model.coin if isinstance(model, FreeModel) else model
-    a, delta = coin.a, coin.delta
+    a, delta = model.coin.a, model.coin.delta
     if a == 0.0:
         eig = (1j * np.exp(0.5j * delta), -1j * np.exp(0.5j * delta))
         return SpectrumArcs(arcs=(), thresholds=(), eigenvalues=tuple(eig))
@@ -188,15 +185,13 @@ def spectrum_arcs(model: FreeModel | CoinMatrix) -> SpectrumArcs:
     return SpectrumArcs(arcs=arcs, thresholds=thresholds, eigenvalues=())
 
 
-def to_branches(vec: np.ndarray, hat: np.ndarray) -> np.ndarray:
+def to_branches(bras: np.ndarray, hat: np.ndarray) -> np.ndarray:
     """Branch amplitudes <u_j(k), hat(psi)(k)>, shape (W, 2), branch last.
 
-    ``vec`` is the (W, 2, 2) eigenvector array of
-    :meth:`FreeModel.eigensystem` and ``hat`` the (W, 2) spinor
-    transform on the same momenta.
+    ``bras`` is ``vec.conj()`` for the (W, 2, 2) eigenvectors ``vec`` of
+    :meth:`FreeModel.eigensystem`, ``hat`` the (W, 2) spinor transform.
     """
-    vc = vec.conj()
-    return vc[..., 0] * hat[:, None, 0] + vc[..., 1] * hat[:, None, 1]
+    return bras[..., 0] * hat[:, None, 0] + bras[..., 1] * hat[:, None, 1]
 
 
 def from_branches(vec: np.ndarray, amp: np.ndarray) -> np.ndarray:
@@ -229,25 +224,26 @@ def _fourier_multiplier(
     hat = np.fft.fft(hat, axis=0)  # rebinding frees the window before the eigensystem
     k = 2.0 * math.pi * np.arange(size) / size
     lam, vec = model.eigensystem(k)
-    return _from_amplitudes(x0, vec, factor(k, lam) * to_branches(vec, hat))
+    return _from_amplitudes(x0, vec, factor(k, lam) * to_branches(vec.conj(), hat))
 
 
 def velocity_projection(
     state: LatticeState,
     model: FreeModel,
-    window: VelocityWindow,
+    window: Callable[[np.ndarray], np.ndarray],
     *,
     dft_size: int | None = None,
 ) -> LatticeState:
     """Spectral projection chi_B(V) onto a window of group velocities.
 
     The projector multiplies the amplitudes of both branches by the
-    indicator of ``window`` (a half open (lo, hi) pair or an elementwise
-    boolean predicate) in the Fourier picture, on a grid padded by 256
-    sites on each side and rounded up to a power of two.  The result
-    keeps the padded window; pass the same explicit ``dft_size`` when
-    checking algebraic identities between repeated projections, since
-    re-gridding truncated output folds in O(1/N) wrap-around error.
+    indicator of ``window``, an elementwise predicate on velocities that
+    also settles v = -0.0 and +0.0 (Hadamard has both at k = pi/2), in
+    the Fourier picture, on a grid padded by 256 sites on each side and
+    rounded up to a power of two.  The result keeps the padded window;
+    pass the same explicit ``dft_size`` when checking algebraic identities
+    between repeated projections, since re-gridding truncated output
+    folds in O(1/N) wrap-around error.
     """
     n = state.hi - state.lo
     size = dft_size if dft_size is not None else _next_pow2(n + 512)
@@ -255,10 +251,7 @@ def velocity_projection(
         raise DomainError(f"dft_size {size} is smaller than the state support {n}")
 
     def mask(k: np.ndarray, _lam: np.ndarray) -> np.ndarray:
-        v = model.velocity(k)
-        if callable(window):
-            return np.asarray(window(v), dtype=bool)
-        return (v >= window[0]) & (v < window[1])
+        return np.asarray(window(model.velocity(k)), dtype=bool)
 
     return _fourier_multiplier(state, model, size, "projection", mask)
 

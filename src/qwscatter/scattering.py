@@ -214,7 +214,7 @@ class _SideAccumulator:
 
     def __init__(self, model: FreeModel, k: np.ndarray, tol: float, lo: int, hi: int) -> None:
         lam, vec = model.eigensystem(k)
-        self.u = vec  # (W, 2, 2)
+        self.bras = vec.conj()  # (W, 2, 2), conjugated once, not on every step
         self.lam_conj = lam.conj()
         self.powers = np.ones_like(lam)  # lambda^{-n}, renormalized periodically
         self.acc = np.zeros((k.size, 2), dtype=complex)
@@ -244,7 +244,7 @@ class _SideAccumulator:
         # windows of 8192 sites or more numpy evaluates the product in place
         # as tmp *= powers.  Naming tmp or writing the product into an out=
         # buffer changes the outgoing state.
-        self.acc += self.powers * to_branches(self.u, yhat)
+        self.acc += self.powers * to_branches(self.bras, yhat)
 
     def checkpoint(self, n: int, prev_n: int) -> None:
         avg = (self.acc - self.snap) / (n - prev_n)
@@ -257,7 +257,7 @@ class _SideAccumulator:
 
     def result(self, x0: int) -> tuple[LatticeState, ConvergenceReport]:
         assert self.block_avg is not None
-        return _from_amplitudes(x0, self.u, self.block_avg).trimmed(1e-15), self.report
+        return _from_amplitudes(x0, self.bras.conj(), self.block_avg).trimmed(1e-15), self.report
 
 
 _BATCH = 8  # walk steps taken between two absorptions by the sides

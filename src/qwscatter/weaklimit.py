@@ -261,26 +261,24 @@ def cf_limit(dist: LimitDistribution, xi: np.ndarray) -> np.ndarray:
 def pure_point_mass(
     state: LatticeState,
     field_: CoinField,
-    schedule: Schedule | None = None,
     *,
+    outgoing: PairState,
     horizon: int = 2000,
     radius: int = 64,
     gate: float = 5e-2,
-    outgoing: PairState | None = None,
 ) -> float:
-    """Mass bound in eigenstates: 1 minus the outgoing norms.
+    """Mass bound in eigenstates: 1 minus the norms of ``outgoing``.
 
-    The deficit is cross-checked against an independent time-average
+    ``outgoing`` is the pair that :func:`outgoing_pair` returns for
+    ``state`` (``limit_distribution`` reports it as ``"outgoing"``).  The
+    deficit is cross-checked against an independent time-average
     estimator (mean probability within ``radius`` of the origin over the
     second half of ``horizon`` steps); disagreement beyond ``gate``
     raises :class:`ConvergenceError` instead of returning a number that
-    two halves of the theory cannot agree on.  Pass a precomputed
-    ``outgoing`` pair to reuse a scattering pass.
+    two halves of the theory cannot agree on.
     """
     _require_normalized(state)
     _check_point_mass_args(horizon, radius, state)
-    if outgoing is None:
-        outgoing, _ = outgoing_pair(state, field_, schedule)
     deficit = 1.0 - outgoing.norm_sq()
     ev = Evolution(state, field_, horizon)
     start = horizon // 2

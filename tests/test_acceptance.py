@@ -185,7 +185,9 @@ def test_velocity_translator_relations():
             + branch_packet(model, 1, k0=k0, sigma_k=0.05, size=1024)
         ) * (1.0 / SQRT2)
         window = (0.0, 2.0) if sign > 0 else (-2.0, 0.0)
-        proj = velocity_projection(psi, model, window, dft_size=4096)
+        proj = velocity_projection(
+            psi, model, lambda v: (v >= window[0]) & (v < window[1]), dft_size=4096
+        )
         grid = velocity_grid(model, gauss_legendre(257))
         ind = ((grid.v >= window[0]) & (grid.v < window[1])).astype(float)
         for j in (0, 1):

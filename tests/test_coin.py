@@ -139,9 +139,6 @@ def test_field_sides_overrides_and_block(rng):
     block = fld.block(-5, 5)
     for i, x in enumerate(range(-5, 5)):
         assert np.abs(block[i] - fld.at(x)).max() < 1e-15
-    assert not fld.is_homogeneous
-    assert CoinField(left=left, right=left).is_homogeneous
-    assert not CoinField(left=left, right=right).is_homogeneous
 
 
 def test_field_rejects_nonunitary_override():

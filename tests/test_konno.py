@@ -33,6 +33,11 @@ from qwscatter.konno import apply_K_adjoint, in_k_interval
 from qwscatter.scattering import free_evolve
 
 
+def speed_model(r):
+    """A free walk whose speed bound is r."""
+    return FreeModel(CoinMatrix(r, math.sqrt(1.0 - r * r), 0.0, 0.0, 0.0))
+
+
 def test_density_value_at_zero_frozen():
     # sqrt(1 - 1/2) / (pi * 1 * sqrt(1/2)) = 1/pi
     r = 1.0 / math.sqrt(2.0)
@@ -65,7 +70,7 @@ def test_density_normalization_by_substitution(r):
 @pytest.mark.parametrize("r", [0.2, 1.0 / math.sqrt(2.0), 0.95])
 def test_second_moment_closed_form(r):
     # E[V^2] = 1 - sqrt(1 - r^2)
-    grid = velocity_grid(r, gauss_legendre(513))
+    grid = velocity_grid(speed_model(r), gauss_legendre(513))
     second = 2.0 * float(np.sum(grid.weight * grid.v**2))
     assert abs(second - (1.0 - math.sqrt(1.0 - r * r))) < 1e-12
 
@@ -86,7 +91,7 @@ def test_gauss_legendre_rule(n):
 
 def test_velocity_grid_masses_and_ranges():
     for side, mass in (("full", 0.5), ("neg", 0.25), ("pos", 0.25)):
-        grid = velocity_grid(0.7, gauss_legendre(257), side)
+        grid = velocity_grid(speed_model(0.7), gauss_legendre(257), side)
         assert grid.weight.sum() == pytest.approx(mass, abs=1e-12)
         assert np.all(grid.weight > 0.0)
         assert np.all(np.abs(grid.v) < 0.7)
@@ -95,9 +100,9 @@ def test_velocity_grid_masses_and_ranges():
         if side == "pos":
             assert np.all(grid.v > 0.0)
     with pytest.raises(DomainError):
-        velocity_grid(0.0, gauss_legendre(3))
+        velocity_grid(speed_model(0.0), gauss_legendre(3))
     with pytest.raises(DomainError):
-        velocity_grid(0.5, gauss_legendre(3), side="both")
+        velocity_grid(speed_model(0.5), gauss_legendre(3), side="both")
     for points in (1, 0, -5):
         with pytest.raises(DomainError):
             gauss_legendre(points)

@@ -17,6 +17,7 @@ from qwscatter import (
     CoinField,
     CoinMatrix,
     FreeModel,
+    LatticeState,
     branch_packet,
     evolve,
     hadamard_coin,
@@ -24,6 +25,11 @@ from qwscatter import (
 )
 from qwscatter.momentum import from_branches, spectrum_arcs, to_branches
 from qwscatter.scattering import free_evolve
+
+
+def interval(lo, hi):
+    """The half-open velocity window [lo, hi) as a projection predicate."""
+    return lambda v: (v >= lo) & (v < hi)
 
 
 def test_symbol_is_unitary_and_has_coin_determinant(rng):
@@ -142,7 +148,7 @@ def test_branch_kernel_matches_eig_projectors(rng, diagonal):
         ks = 2.0 * np.pi * np.arange(64) / 64
         hat = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
         _, vec = model.eigensystem(ks)
-        amp = to_branches(vec, hat)
+        amp = to_branches(vec.conj(), hat)
         assert amp.shape == (64, 2)
         assert abs(np.linalg.norm(amp) - np.linalg.norm(hat)) < 1e-13 * np.linalg.norm(hat)
         assert np.abs(from_branches(vec, amp) - hat).max() < 1e-13
@@ -176,10 +182,10 @@ def test_spectrum_arcs_hadamard_thresholds_frozen():
 
 
 def test_spectrum_arcs_degenerate_cases():
-    refl = spectrum_arcs(CoinMatrix(0.0, 1.0, 0.0, 0.0, 0.8))
+    refl = spectrum_arcs(FreeModel(CoinMatrix(0.0, 1.0, 0.0, 0.0, 0.8)))
     assert refl.is_pure_point and refl.arcs == ()
     assert len(refl.eigenvalues) == 2
-    ball = spectrum_arcs(CoinMatrix(1.0, 0.0, 0.0, 0.0, 0.8))
+    ball = spectrum_arcs(FreeModel(CoinMatrix(1.0, 0.0, 0.0, 0.0, 0.8)))
     assert ball.arcs == ((-math.pi, math.pi),) and not ball.is_pure_point
 
 
@@ -213,6 +219,25 @@ def test_velocity_projection_splits_and_projects(rng):
     assert abs(pos.inner(neg_o)) < 1e-10
 
 
+def test_velocity_projection_decides_the_signed_zero_velocities():
+    # at k = pi/2 the Hadamard branches move at exactly -0.0 and +0.0 on
+    # every power-of-two grid; v > 0 and v < 0 both drop that mode pair,
+    # v >= 0 keeps it, which a half-open interval (0, 1) cannot express
+    model = FreeModel(hadamard_coin())
+    for size in (64, 1024, 1 << 14):
+        k = 2.0 * math.pi * np.arange(size) / size
+        v = model.velocity(k)[size // 4]
+        assert v.tolist() == [0.0, 0.0] and np.signbit(v).tolist() == [True, False]
+        _, vec = model.eigensystem(k[size // 4])
+        hat = np.zeros((size, 2), dtype=complex)
+        hat[size // 4] = vec[0] + 1j * vec[1]
+        state = LatticeState(0, np.fft.ifft(hat, axis=0)).normalized()
+        for drop in (lambda v: v > 0.0, lambda v: v < 0.0):
+            assert velocity_projection(state, model, drop, dft_size=size).norm() < 1e-12
+        kept = velocity_projection(state, model, lambda v: v >= 0.0, dft_size=size)
+        assert (kept - state).norm() < 1e-12
+
+
 def test_velocity_projection_commutes_with_free_steps():
     # two packets on opposite sides of the cut, both well away from it
     model = FreeModel(hadamard_coin())
@@ -223,8 +248,8 @@ def test_velocity_projection_commutes_with_free_steps():
     state = ((up + down) * (1.0 / math.sqrt(2.0))).trimmed(1e-14)
     size = 8192
     stepped = evolve(state, fld, 5)
-    a = velocity_projection(stepped, model, (0.0, 1.0), dft_size=size)
-    b = evolve(velocity_projection(state, model, (0.0, 1.0), dft_size=size), fld, 5)
+    a = velocity_projection(stepped, model, interval(0.0, 1.0), dft_size=size)
+    b = evolve(velocity_projection(state, model, interval(0.0, 1.0), dft_size=size), fld, 5)
     assert (a - b).norm() < 1e-9
     assert a.norm_sq() == pytest.approx(0.5, abs=1e-9)
 
@@ -232,7 +257,7 @@ def test_velocity_projection_commutes_with_free_steps():
 def test_velocity_projection_interval_window(rng):
     model = FreeModel(hadamard_coin())
     state = branch_packet(model, 0, k0=2.0, sigma_k=0.1)
-    inside = velocity_projection(state, model, (-1.0, 1.0))
+    inside = velocity_projection(state, model, interval(-1.0, 1.0))
     assert (inside - state).norm() < 1e-9
 
 
@@ -254,8 +279,8 @@ def test_branch_packet_velocity_content_is_concentrated():
     v0 = model.velocity(k0)[1]
     packet = branch_packet(model, 1, k0=k0, sigma_k=0.05)
     assert abs(v0) > 0.25  # the window below and its mirror image are disjoint
-    kept = velocity_projection(packet, model, (v0 - 0.25, v0 + 0.25))
+    kept = velocity_projection(packet, model, interval(v0 - 0.25, v0 + 0.25))
     assert kept.norm_sq() == pytest.approx(1.0, abs=1e-6)
     # branch 0 near k0 moves at -v0: the packet has no content there
-    other = velocity_projection(packet, model, (-v0 - 0.25, -v0 + 0.25))
+    other = velocity_projection(packet, model, interval(-v0 - 0.25, -v0 + 0.25))
     assert other.norm_sq() < 1e-10

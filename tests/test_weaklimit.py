@@ -25,6 +25,7 @@ from qwscatter import (
     velocity_grid,
 )
 from qwscatter import weaklimit
+from qwscatter.scattering import outgoing_pair
 from qwscatter.weaklimit import cdf, cf_limit, moment
 
 SQRT2 = math.sqrt(2.0)
@@ -119,7 +120,8 @@ def test_defect_dark_state_escapes(defect_field):
 
 def test_pure_point_mass_hadamard_near_zero(had_field):
     psi = LatticeState.point(0, (1.0, 0.0))
-    val = pure_point_mass(psi, had_field, Schedule(n_max=1024), horizon=2000, radius=64)
+    pair, _ = outgoing_pair(psi, had_field, Schedule(n_max=1024))
+    val = pure_point_mass(psi, had_field, outgoing=pair, horizon=2000, radius=64)
     assert 0.0 <= val < 0.05
 
 
@@ -139,25 +141,28 @@ def test_pure_point_mass_gate_trips_on_short_horizon(had_field):
     # ballistic mass has not left radius 64 after 100 steps, so the
     # time average cannot match the (near zero) norm deficit
     psi = LatticeState.point(0, (1.0, 0.0))
+    pair, _ = outgoing_pair(psi, had_field, Schedule(n_max=256))
     with pytest.raises(ConvergenceError):
-        pure_point_mass(psi, had_field, Schedule(n_max=256), horizon=100, radius=64)
+        pure_point_mass(psi, had_field, outgoing=pair, horizon=100, radius=64)
 
 
 def test_pure_point_mass_rejects_negative_radius(had_field):
     # a negative radius used to make the time average 0 and the
     # cross-check vacuous
     psi = LatticeState.point(0, (1.0, 0.0))
+    pair, _ = outgoing_pair(psi, had_field, Schedule(n_max=64))
     with pytest.raises(DomainError, match="radius"):
-        pure_point_mass(psi, had_field, Schedule(n_max=64), horizon=100, radius=-1)
+        pure_point_mass(psi, had_field, outgoing=pair, horizon=100, radius=-1)
     with pytest.raises(DomainError, match="horizon"):
-        pure_point_mass(psi, had_field, Schedule(n_max=64), horizon=1, radius=4)
+        pure_point_mass(psi, had_field, outgoing=pair, horizon=1, radius=4)
 
 
 def test_pure_point_mass_of_a_state_far_from_the_origin(had_field):
     # the walk never comes within radius 4 of the origin, so the time
     # average is 0 and agrees with the Hadamard walk's zero deficit
     psi = LatticeState.point(200, (1.0, 0.0))
-    val = pure_point_mass(psi, had_field, Schedule(n_max=256), horizon=100, radius=4)
+    pair, _ = outgoing_pair(psi, had_field, Schedule(n_max=256))
+    val = pure_point_mass(psi, had_field, outgoing=pair, horizon=100, radius=4)
     assert 0.0 <= val < 0.05
 
 
@@ -190,8 +195,9 @@ def test_rejects_unnormalized_state(had_field):
     psi = LatticeState.point(0, (0.5, 0.0))
     with pytest.raises(DomainError):
         limit_distribution(psi, had_field, Schedule(n_max=64))
+    pair, _ = outgoing_pair(psi, had_field, Schedule(n_max=64))
     with pytest.raises(DomainError):
-        pure_point_mass(psi, had_field, Schedule(n_max=64))
+        pure_point_mass(psi, had_field, outgoing=pair)
 
 
 def test_cdf_monotone_and_normalized(had_dist):
