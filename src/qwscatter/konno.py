@@ -21,8 +21,8 @@ the four of them together are norm preserving.
 Quadrature grids substitute v = r sin(theta); the transformed weight
 sqrt(1 - r^2) / (2 pi (1 - r^2 sin^2 theta)) is analytic, so
 Gauss-Legendre in theta converges spectrally despite the inverse square
-root singularities at v = +-r.  The rule is a value, built once by
-``gauss_legendre`` and mapped onto any velocity range by
+root singularities at v = +-r.  The rule is a value, built once per size
+and process by ``gauss_legendre`` and mapped onto any velocity range by
 ``velocity_grid``: Newton iteration on the three-term recurrence for
 P_n (Hale & Townsend, SIAM J. Sci. Comput. 2013), O(n^2) flops, with
 nodes and weights exactly symmetric about 0.  ``apply_K`` and
@@ -32,6 +32,7 @@ nodes and weights exactly symmetric about 0.  ``apply_K`` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -158,11 +159,13 @@ class VelocityGrid:
         return float(np.sum(self.weight * np.abs(np.asarray(values)) ** 2))
 
 
+@functools.lru_cache(maxsize=8)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre rule on [-1, 1], n >= 2.
 
     Ascending nodes and weights 2 / ((1 - x^2) P_n'(x)^2), by Newton
-    iteration from Tricomi's guesses.
+    iteration from Tricomi's guesses.  Each size is built once per
+    process; the arrays are shared between calls and read-only.
     """
     if n < 2:
         raise DomainError("grid needs at least 2 points")
@@ -177,7 +180,10 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         if np.max(np.abs(dx)) < 1e-15:
             break
     w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    nodes, weights = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 _THETA_RANGES = {

@@ -294,7 +294,8 @@ class Evolution:
     """Stepper applying U = S C (or U^{-1} = C^dagger S^dagger) in place.
 
     The window for ``max_steps`` applications is allocated up front and
-    the coin block is built once, so repeated stepping is cheap.  Use
+    the coin block ``coins`` (C(x) on the window from site ``origin``) is
+    built once, so repeated stepping is cheap.  Use
     :func:`evolve` unless intermediate states are needed.
     """
 
@@ -319,8 +320,8 @@ class Evolution:
         self._buf[state.lo - lo : state.hi - lo] = state.amp
         self._i0 = state.lo - lo
         self._i1 = state.hi - lo
-        coins = field.block(lo, hi)
-        self._coins = coins.conj().transpose(0, 2, 1) if inverse else coins
+        self.coins = field.block(lo, hi)
+        self._coins = self.coins.conj().transpose(0, 2, 1) if inverse else self.coins
 
     @property
     def lo(self) -> int:
@@ -337,6 +338,11 @@ class Evolution:
     def values_view(self) -> np.ndarray:
         """Live view of the active amplitudes; do not write through it."""
         return self._buf[self._i0 : self._i1]
+
+    def window_view(self) -> np.ndarray:
+        """Live view of the whole window from site ``origin``, zero off the
+        active amplitudes; do not write through it."""
+        return self._buf
 
     def localized_mass(self, radius: int) -> float:
         """Probability within |x| <= radius, read off the buffer."""

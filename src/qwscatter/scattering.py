@@ -26,15 +26,21 @@ iteration with certified increments:
   into a spinor state once, at the end, so one interacting evolution
   pass serves every block and both sides.
 
-  Once U^n psi is known the two sides share nothing until a checkpoint.
-  The calling thread steps the walk a few steps at a time; the first
-  a.c. side absorbs each batch there while the second absorbs it on one
-  worker thread, which works because numpy releases the GIL in its FFTs
-  and elementwise loops; windows under 8192 sites, whose FFTs are short,
-  absorb both sides on the calling thread.  Each side performs the same
-  operations in the same order as when the sides ran one after the
-  other, so the outgoing states and their reports are bit-identical to
-  that serial loop.
+  Each side forms the iterates in one of two ways.  Cook's identity
+
+      U_star^{-n} 1_star U^n psi = 1_star psi
+          + sum_{m<n} U_star^{-(m+1)} (1_star U - U_star 1_star) U^m psi
+
+  has increments that live on the nonzero rows of the increment
+  operator M = 1_star U - U_star 1_star, which are few when the coins
+  equal the side's asymptotic coin away from a compact region (two rows
+  per side for a homogeneous field, two or three next to a one-site
+  defect).  A side with at
+  most ``_TELESCOPE_ROWS`` rows on the walk's window telescopes: it
+  reads those rows off U^m psi before each step and adds their branch
+  amplitudes through a precomputed kernel, with no FFT.  A side with
+  more rows, such as one with a power-law tail, transforms its half of
+  the window after every step instead.  Both run on the calling thread.
 
 Sides whose asymptotic coin is purely off diagonal (a = 0) carry no
 propagating modes; ``propagating_part`` projects them away, which is
@@ -49,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import CoinField
+from .coin import CoinField, CoinMatrix
 from .errors import ConvergenceError, DomainError
 from .lattice import Evolution, LatticeState, _check_window, _next_pow2, evolve
 from .momentum import FreeModel, _fourier_multiplier, _from_amplitudes, to_branches
@@ -207,44 +213,30 @@ class _SideAccumulator:
     """Tail-block averaging of U_star^{-n} 1_star U^n psi in branch amplitudes.
 
     The free eigenbasis is orthonormal at every k, so block averages and
-    their increments are taken on the amplitudes directly; the spinor
-    transform is rebuilt once, from the last block average.  The side's
-    half line is the window index range [lo, hi).
+    their increments are taken on the (W, 2) amplitudes ``acc`` directly;
+    the spinor transform is rebuilt once, from the last block average.
+    Subclasses add each step's amplitudes to ``acc``.  With
+    ``branch_major`` the eigenvalues, powers and sums are stored as
+    contiguous (2, W) arrays and ``acc`` is a view of them.
     """
 
-    def __init__(self, model: FreeModel, k: np.ndarray, tol: float, lo: int, hi: int) -> None:
+    def __init__(self, model: FreeModel, k: np.ndarray, tol: float, branch_major: bool = False) -> None:
         lam, vec = model.eigensystem(k)
+        if branch_major:
+            lam = np.ascontiguousarray(lam.T)
         self.bras = vec.conj()  # (W, 2, 2), conjugated once, not on every step
         self.lam_conj = lam.conj()
         self.powers = np.ones_like(lam)  # lambda^{-n}, renormalized periodically
-        self.acc = np.zeros((k.size, 2), dtype=complex)
+        self.sums = np.zeros_like(lam)
+        self.acc = self.sums.T if branch_major else self.sums
         self.snap = np.zeros_like(self.acc)
         self.block_avg: np.ndarray | None = None
         self.report = ConvergenceReport([], [], tol)
-        self.lo, self.hi = lo, hi
-        self.ybuf = np.zeros((k.size, 2), dtype=complex)
-        self.yhat = np.empty_like(self.ybuf)  # reused: a fresh array per step grows a worker's own heap
 
-    def absorb_batch(self, batch: list[tuple[int, int, np.ndarray]]) -> None:
-        """Absorb 1_star U^n psi for each (n, g0, amplitudes from window index g0)."""
-        for n, g0, amp in batch:
-            # the walk's support only grows, so the side's part [a0, a1)
-            # covers every earlier one and the rest of ybuf is still zero
-            a0, a1 = max(g0, self.lo), min(g0 + len(amp), self.hi)
-            if a0 < a1:
-                self.ybuf[a0:a1] = amp[a0 - g0 : a1 - g0]
-            self.absorb(np.fft.fft(self.ybuf, axis=0, out=self.yhat), n)
-
-    def absorb(self, yhat: np.ndarray, n: int) -> None:
+    def advance_powers(self, n: int) -> None:
         self.powers *= self.lam_conj
         if n % 1024 == 0:
             self.powers /= np.abs(self.powers)
-        # Keep this one expression, to_branches' result unnamed and on the
-        # right: with FMA, a*b and b*a differ in the last bit, and for
-        # windows of 8192 sites or more numpy evaluates the product in place
-        # as tmp *= powers.  Naming tmp or writing the product into an out=
-        # buffer changes the outgoing state.
-        self.acc += self.powers * to_branches(self.bras, yhat)
 
     def checkpoint(self, n: int, prev_n: int) -> None:
         avg = (self.acc - self.snap) / (n - prev_n)
@@ -260,12 +252,107 @@ class _SideAccumulator:
         return _from_amplitudes(x0, self.bras.conj(), self.block_avg).trimmed(1e-15), self.report
 
 
-_BATCH = 8  # walk steps taken between two absorptions by the sides
-# Smallest window whose second side is absorbed on a worker thread.  Below
-# it the worker saves a few percent of the pass when a second core is idle
-# and costs more than that when the core is busy, so the pass's time would
-# hang on other load; at 8192 sites it wins either way.
-_PARALLEL_SITES = 8192
+class _TransformedSide(_SideAccumulator):
+    """A side that transforms 1_star U^n psi on the whole window after each step.
+
+    The side's half line is the window index range [lo, hi).
+    """
+
+    def __init__(self, model: FreeModel, k: np.ndarray, tol: float, lo: int, hi: int) -> None:
+        super().__init__(model, k, tol)
+        self.lo, self.hi = lo, hi
+        self.ybuf = np.zeros((k.size, 2), dtype=complex)
+        self.yhat = np.empty_like(self.ybuf)
+
+    def after_step(self, n: int, g0: int, amp: np.ndarray) -> None:
+        """Absorb 1_star U^n psi, whose amplitudes start at window index g0."""
+        # the walk's support only grows, so the side's part [a0, a1)
+        # covers every earlier one and the rest of ybuf is still zero
+        a0, a1 = max(g0, self.lo), min(g0 + len(amp), self.hi)
+        if a0 < a1:
+            self.ybuf[a0:a1] = amp[a0 - g0 : a1 - g0]
+        yhat = np.fft.fft(self.ybuf, axis=0, out=self.yhat)
+        self.advance_powers(n)
+        # Keep this one expression, to_branches' result unnamed and on the
+        # right: with FMA, a*b and b*a differ in the last bit, and for
+        # windows of 8192 sites or more numpy evaluates the product in place
+        # as tmp *= powers.  Naming tmp or writing the product into an out=
+        # buffer changes the outgoing state.
+        self.acc += self.powers * to_branches(self.bras, yhat)
+
+
+class _TelescopedSide(_SideAccumulator):
+    """A side that sums Cook increments read off a few sites before each step.
+
+    The telescoped amplitude z_n = lambda^{-n} <u_j, F 1_star U^n psi>
+    starts from the transform of 1_star psi and moves by
+    z_n - z_{n-1} = lambda^{-n} <u_j, F M U^{n-1} psi> (see
+    :func:`_increment_rows`).  ``kernel`` row q takes the value of row q
+    of M to the branch amplitudes of its shifted output: the bras of its
+    component times exp(-i k d), d the window index it moves to, with the
+    phase reduced mod 2 pi exactly in integers.
+    """
+
+    def __init__(
+        self,
+        model: FreeModel,
+        k: np.ndarray,
+        tol: float,
+        rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+        ev: Evolution,
+        start: LatticeState,
+        x0: int,
+    ) -> None:
+        super().__init__(model, k, tol, branch_major=True)
+        size = k.size
+        sites, comps, self.coef = rows
+        self.values = ev.window_view().reshape(-1)  # live: (site, component) pairs from ev.origin
+        self.index = 2 * (sites - ev.origin)[:, None] + np.arange(2)
+        dest = sites + 2 * comps - 1 - x0  # component 0 moves down a site, 1 up
+        turns = (np.arange(size)[None, :] * dest[:, None]) % size
+        kernel = self.bras[:, :, comps].transpose(2, 1, 0) * np.exp(-2j * math.pi / size * turns)[:, None, :]
+        self.kernel = kernel.reshape(len(sites), 2 * size)
+        self.inc = np.empty(2 * size, dtype=complex)
+        hat = np.fft.fft(start.values_on(x0, x0 + size), axis=0)
+        self.z = np.ascontiguousarray(to_branches(self.bras, hat).T)
+
+    def before_step(self, n: int) -> None:
+        """Add z_n to the sums, with the walk still at U^{n-1} psi."""
+        v = np.einsum("qc,qc->q", self.coef, self.values[self.index])
+        self.advance_powers(n)
+        inc = np.dot(v, self.kernel, out=self.inc).reshape(self.z.shape)
+        inc *= self.powers
+        self.z += inc
+        self.sums += self.z
+
+
+def _increment_rows(
+    coins: np.ndarray, lo: int, coin: CoinMatrix, side: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero rows of the increment operator M = 1_star U - U_star 1_star.
+
+    On site z, M acts as diag(1_star(z-1), 1_star(z+1)) C(z) - 1_star(z) C_star,
+    and its component 0 moves to z - 1, component 1 to z + 1.  ``coins`` are
+    C(z) on the sites from ``lo``.  Returns the sites, the components and
+    the (Q, 2) rows: where C = C_star away from the boundary of the half
+    line, few rows are left.
+    """
+    x = lo + np.arange(len(coins))
+
+    def half(y: np.ndarray) -> np.ndarray:
+        return (y >= 0) if side == "right" else (y < 0)
+
+    gate = np.stack([half(x - 1), half(x + 1)], axis=1)
+    m = gate[:, :, None] * coins - half(x)[:, None, None] * coin.matrix()
+    site, comp = np.nonzero(np.any(m != 0.0, axis=2))
+    return x[site], comp, m[site, comp]
+
+
+# Most increment rows a telescoped side may have.  A telescoped step costs
+# one (rows, 2W) product and four ufuncs on 2W values, a transformed step
+# one FFT and one branch transform of the window; at 8192 sites the two
+# cost the same at about 19 rows per side.
+_TELESCOPE_ROWS = 16
 
 
 def outgoing_pair(
@@ -275,12 +362,12 @@ def outgoing_pair(
 ) -> tuple[PairState, dict[str, ConvergenceReport]]:
     """Tail-averaged outgoing states of both sides in one evolution pass.
 
-    The calling thread steps the walk ``_BATCH`` steps at a time; then the
-    first a.c. side absorbs the batch here while the second absorbs it on
-    one worker thread, and the worker finishes before the walk steps on.
-    Windows under ``_PARALLEL_SITES`` sites absorb both sides here.
-    A side whose asymptotic coin has a = 0 supports no scattering and
-    comes back as the zero state with an empty report.
+    A side whose increment operator has at most ``_TELESCOPE_ROWS``
+    nonzero rows on the walk's window (no tail rule on its half line)
+    sums Cook increments read off those sites before each step; any other
+    side transforms its half of the window after each step.  A side whose
+    asymptotic coin has a = 0 supports no scattering and comes back as the
+    zero state with an empty report.
     """
     sched = schedule or Schedule()
     states = {s: LatticeState.zero(0, 1) for s in ("left", "right")}
@@ -295,37 +382,31 @@ def outgoing_pair(
     k = 2.0 * math.pi * np.arange(size) / size
     origin_idx = -x0  # fourier buffer index of lattice site 0
     half = {"left": (0, origin_idx), "right": (origin_idx, size)}
-    accs = [_SideAccumulator(free_model(field, s), k, sched.tol, *half[s]) for s in sides]
-    here, away = (accs[:1], accs[1:]) if size >= _PARALLEL_SITES else (accs, [])
     ev = Evolution(state, field, n_max)
+    accs: dict[str, _SideAccumulator] = {}
+    for s in sides:
+        model = free_model(field, s)
+        rows = _increment_rows(ev.coins, ev.origin, model.coin, s)
+        if len(rows[0]) <= _TELESCOPE_ROWS:
+            accs[s] = _TelescopedSide(model, k, sched.tol, rows, ev, state.restricted(s), x0)
+        else:
+            accs[s] = _TransformedSide(model, k, sched.tol, *half[s])
+    telescoped = [a for a in accs.values() if isinstance(a, _TelescopedSide)]
+    transformed = [a for a in accs.values() if isinstance(a, _TransformedSide)]
     prev_cp = 0
-    # imported here, not at the top: concurrent.futures imports logging,
-    # which would add to the import time of every qwscatter process
-    from concurrent.futures import ThreadPoolExecutor
-
-    # numpy releases the GIL in its FFTs and elementwise loops, so the two
-    # sides run in parallel; one a.c. side or a small window submits nothing
-    # and starts no thread
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="outgoing-side") as worker:
-        for cp in sched.checkpoints():
-            for start in range(prev_cp + 1, cp + 1, _BATCH):
-                batch = []
-                for n in range(start, min(start + _BATCH, cp + 1)):
-                    ev.step()
-                    batch.append((n, ev.lo - x0, ev.values_view().copy()))
-                pending = [worker.submit(acc.absorb_batch, batch) for acc in away]
-                for acc in here:
-                    acc.absorb_batch(batch)
-                # joined every batch: one batch is alive at a time, and no
-                # FFT runs while the walk steps
-                for future in pending:
-                    future.result()
-            for acc in accs:
-                acc.checkpoint(cp, prev_cp)
-            prev_cp = cp
-            if all(acc.report.converged for acc in accs):
-                break
-    for s, acc in zip(sides, accs):
+    for cp in sched.checkpoints():
+        for n in range(prev_cp + 1, cp + 1):
+            for tel in telescoped:
+                tel.before_step(n)
+            ev.step()
+            for tra in transformed:
+                tra.after_step(n, ev.lo - x0, ev.values_view())
+        for acc in accs.values():
+            acc.checkpoint(cp, prev_cp)
+        prev_cp = cp
+        if all(acc.report.converged for acc in accs.values()):
+            break
+    for s, acc in accs.items():
         states[s], reports[s] = acc.result(x0)
     return PairState(states["left"], states["right"]), reports
 

@@ -89,6 +89,16 @@ def test_gauss_legendre_rule(n):
         assert abs(np.sum(w * x ** (2 * j)) - 2.0 / (2 * j + 1)) < 1e-14
 
 
+def test_gauss_legendre_is_built_once_per_size():
+    x, w = gauss_legendre(129)
+    again = gauss_legendre(129)
+    assert again[0] is x and again[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    assert gauss_legendre(65)[0] is not x
+
+
 def test_velocity_grid_masses_and_ranges():
     for side, mass in (("full", 0.5), ("neg", 0.25), ("pos", 0.25)):
         grid = velocity_grid(speed_model(0.7), gauss_legendre(257), side)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -25,10 +24,10 @@ from qwscatter import (
     velocity_projection,
     wave_forward,
 )
+from qwscatter.coin import TailRule
 from qwscatter.lattice import Evolution
 from qwscatter.scattering import (
     ConvergenceReport,
-    _SideAccumulator,
     apply_J,
     apply_J_adjoint,
     free_evolve,
@@ -309,68 +308,100 @@ def serial_outgoing(state, field, sched):
     return out, incs
 
 
-@pytest.mark.parametrize(
-    "case, n_max",
-    [
-        ("one_defect", 256),  # 2,048-site window
-        ("hadamard", 1024),  # 8,192 sites: numpy evaluates the product in place
-        ("one_reflecting_side", 256),
-    ],
-)
-def test_outgoing_pair_is_bit_identical_to_the_serial_loop(rng, one_defect_field, case, n_max):
-    fields = {
+def tailed_field(both: bool) -> CoinField:
+    """Two-phase field 0.8 / 0.6 with a power-law tail on the right, or on both sides."""
+    fld = two_phase_field(0.8, 0.6)
+    tail = TailRule(0.4, 1.0)
+    return CoinField(left=fld.left, right=fld.right, tail_left=tail if both else None, tail_right=tail)
+
+
+def outgoing_fields(one_defect_field):
+    return {
         "one_defect": one_defect_field,
         "hadamard": CoinField(left=hadamard_coin(), right=hadamard_coin()),
         "one_reflecting_side": CoinField(left=hadamard_coin(), right=reflecting_coin()),
+        "tails": tailed_field(both=True),
+        "one_sided_tail": tailed_field(both=False),
     }
-    psi = random_state(rng, -1, 2)
-    sched = Schedule(n_max=n_max, tol=1e-6)
-    pair, reports = outgoing_pair(psi, fields[case], sched)
-    want, incs = serial_outgoing(psi, fields[case], sched)
-    assert reports["left"].final_n == n_max  # no early stop: every step is compared
-    for side in ("left", "right"):
-        got = getattr(pair, side)
-        ref = want.get(side, LatticeState.zero(0, 1))
-        assert got.lo == ref.lo
-        assert got.amp.tobytes() == ref.amp.tobytes()
-        got_incs = np.array(reports[side].increments)
-        assert got_incs.tobytes() == np.array(incs.get(side, [])).tobytes()
-
-
-@pytest.mark.parametrize("raising", ["calling thread", "worker"])
-def test_outgoing_pair_error_leaves_no_thread(monkeypatch, rng, raising):
-    caller = threading.current_thread()
-    absorbed_on = set()
-    absorb = _SideAccumulator.absorb
-
-    def failing(self, yhat, n):
-        here = threading.current_thread()
-        absorbed_on.add(here)
-        if n == 100 and (here is caller) == (raising == "calling thread"):
-            raise ConvergenceError("injected")
-        absorb(self, yhat, n)
-
-    monkeypatch.setattr(_SideAccumulator, "absorb", failing)
-    fld = CoinField(left=hadamard_coin(), right=hadamard_coin())
-    before = threading.active_count()
-    with pytest.raises(ConvergenceError, match="injected"):
-        outgoing_pair(random_state(rng), fld, Schedule(n_max=1024, tol=1e-6))  # 8,192 sites
-    assert threading.active_count() == before
-    assert len(absorbed_on) == 2 and caller in absorbed_on  # one side on a worker
 
 
 @pytest.mark.parametrize(
-    "left",
-    [reflecting_coin(), hadamard_coin()],  # one a.c. side; two in a 1,024-site window
+    "case, n_max, sides",
+    [
+        pytest.param("tails", 256, ("left", "right"), id="tails-256"),
+        pytest.param("one_sided_tail", 256, ("right",), id="one_sided_tail-256"),  # the left side telescopes
+    ],
 )
-def test_outgoing_pair_starts_no_thread_for_one_side_or_a_small_window(monkeypatch, rng, left):
-    def refuse(self):
-        raise AssertionError("a thread was started")
+def test_outgoing_pair_is_bit_identical_to_the_serial_loop(rng, one_defect_field, case, n_max, sides):
+    # a side with a tail rule transforms its window after every step, as the serial loop did
+    fld = outgoing_fields(one_defect_field)[case]
+    psi = random_state(rng, -1, 2)
+    sched = Schedule(n_max=n_max, tol=1e-6)
+    pair, reports = outgoing_pair(psi, fld, sched)
+    want, incs = serial_outgoing(psi, fld, sched)
+    assert reports["right"].final_n == n_max  # no early stop: every step is compared
+    for side in sides:
+        got, ref = getattr(pair, side), want[side]
+        assert got.lo == ref.lo
+        assert got.amp.tobytes() == ref.amp.tobytes()
+        assert np.array(reports[side].increments).tobytes() == np.array(incs[side]).tobytes()
 
-    monkeypatch.setattr(threading.Thread, "start", refuse)
-    fld = CoinField(left=left, right=hadamard_coin())
-    pair, reports = outgoing_pair(random_state(rng), fld, Schedule(n_max=128, tol=1e-6))
-    assert reports["right"].final_n == 128 and pair.right.norm() > 0.0
+
+@pytest.mark.parametrize(
+    "case, n_max, sides",
+    [
+        pytest.param("one_defect", 256, ("left", "right"), id="one_defect-256"),  # 2,048-site window
+        pytest.param("hadamard", 1024, ("left", "right"), id="hadamard-1024"),  # 8,192 sites
+        pytest.param("one_reflecting_side", 256, ("left",), id="one_reflecting_side-256"),
+        pytest.param("one_sided_tail", 256, ("left",), id="one_sided_tail-256"),  # the right side transforms
+    ],
+)
+def test_telescoped_sides_match_the_serial_loop(rng, one_defect_field, case, n_max, sides):
+    # Cook increments summed on a few sites give the serial loop's states
+    # up to the roundoff of the two summation orders
+    fld = outgoing_fields(one_defect_field)[case]
+    psi = random_state(rng, -1, 2)
+    sched = Schedule(n_max=n_max, tol=1e-6)
+    pair, reports = outgoing_pair(psi, fld, sched)
+    want, incs = serial_outgoing(psi, fld, sched)
+    assert reports["left"].final_n == n_max
+    for side in sides:
+        assert (getattr(pair, side) - want[side]).norm() <= 1e-12
+        np.testing.assert_allclose(reports[side].increments, incs[side], rtol=1e-12, atol=0.0)
+    if case == "one_reflecting_side":
+        assert pair.right.norm() == 0.0 and reports["right"].checkpoints == []
+
+
+def test_outgoing_states_keep_their_physical_support(rng, hadamard_field):
+    # The telescoped sums carry no per-step transform roundoff across the
+    # window, so the 1e-15 trim keeps the light cone of speed a, not the window
+    n_max = 1024
+    pair, _ = outgoing_pair(random_state(rng, -1, 2), hadamard_field, Schedule(n_max=n_max, tol=1e-6))
+    bound = 2 * hadamard_coin().a * n_max + 256
+    for side in (pair.left, pair.right):
+        assert side.norm() > 0.1
+        assert side.hi - side.lo <= bound
+
+
+def test_outgoing_pair_transforms_only_the_tailed_sides(monkeypatch, rng, one_defect_field):
+    calls = []
+    fft = np.fft.fft
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    psi = random_state(rng, -1, 2)
+    for fld, tailed in ((one_defect_field, 0), (tailed_field(both=False), 1), (tailed_field(both=True), 2)):
+        counts = []
+        for n_max in (64, 128):
+            calls.clear()
+            _, reports = outgoing_pair(psi, fld, Schedule(n_max=n_max, tol=1e-300))
+            assert reports["left"].final_n == n_max
+            counts.append(len(calls))
+        # one transform of 1_star psi per telescoped side, one per step per tailed side
+        assert counts == [2 - tailed + tailed * n for n in (64, 128)]
 
 
 def test_outgoing_pair_zeroes_reflecting_side(rng):
